@@ -34,6 +34,7 @@ impl Json {
     /// Parses a JSON document, requiring it to span the whole input.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -65,7 +66,9 @@ impl Json {
     /// The numeric value as a usize, if this is a non-negative integer.
     pub fn as_usize(&self) -> Option<usize> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= usize::MAX as f64 => {
+            // `usize::MAX as f64` rounds up to 2^64 (on 64-bit), which
+            // does not fit: the bound must be strict.
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < usize::MAX as f64 => {
                 Some(*x as usize)
             }
             _ => None,
@@ -262,7 +265,11 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Recursive-descent parser over validated UTF-8. Token scans walk
+/// `bytes`; every token ends on an ASCII byte, so its text is sliced
+/// from `text` without re-validating it.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -381,11 +388,10 @@ impl Parser<'_> {
                 self.pos += 1;
             }
             if self.pos > start {
-                // Input is valid UTF-8 and the run ends on an ASCII
-                // boundary, so the slice is valid UTF-8 too.
                 s.push_str(
-                    std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| format!("invalid UTF-8 in string at byte {start}"))?,
+                    self.text
+                        .get(start..self.pos)
+                        .ok_or_else(|| format!("invalid UTF-8 in string at byte {start}"))?,
                 );
             }
             match self.peek() {
@@ -448,8 +454,10 @@ impl Parser<'_> {
         if end > self.bytes.len() {
             return Err("truncated \\u escape".to_string());
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| format!("invalid \\u escape at byte {}", self.pos))?;
+        let hex = self
+            .text
+            .get(self.pos..end)
+            .ok_or_else(|| format!("invalid \\u escape at byte {}", self.pos))?;
         let code = u32::from_str_radix(hex, 16)
             .map_err(|_| format!("invalid \\u escape at byte {}", self.pos))?;
         self.pos = end;
@@ -479,8 +487,10 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("invalid number at byte {start}"))?;
+        let text = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| format!("invalid number at byte {start}"))?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("invalid number '{text}' at byte {start}"))
@@ -559,5 +569,11 @@ mod tests {
         assert_eq!(Json::Num(4.5).as_usize(), None);
         assert_eq!(Json::Num(-1.0).as_usize(), None);
         assert_eq!(Json::Str("4".into()).as_usize(), None);
+        assert_eq!(
+            Json::parse("18446744073709551616").unwrap().as_usize(),
+            None
+        );
+        let top_bit = usize::MAX / 2 + 1;
+        assert_eq!(Json::Num(top_bit as f64).as_usize(), Some(top_bit));
     }
 }

@@ -23,7 +23,10 @@ impl Matrix {
     /// untrusted dimensions (e.g. the telemetry JSON reader) come in
     /// through here.
     pub fn try_from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, String> {
-        if data.len() != rows * cols {
+        let len = rows
+            .checked_mul(cols)
+            .ok_or_else(|| format!("matrix shape {rows}x{cols} overflows usize"))?;
+        if data.len() != len {
             return Err(format!(
                 "matrix buffer length {} does not match {rows}x{cols}",
                 data.len()
@@ -420,6 +423,13 @@ mod tests {
 
     fn sample() -> Matrix {
         Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]])
+    }
+
+    #[test]
+    fn try_from_vec_rejects_shapes_whose_size_overflows() {
+        let err = Matrix::try_from_vec(1 << 32, 1 << 32, vec![]).unwrap_err();
+        assert_eq!(err, "matrix shape 4294967296x4294967296 overflows usize");
+        assert!(Matrix::try_from_vec(usize::MAX, 2, vec![]).is_err());
     }
 
     #[test]

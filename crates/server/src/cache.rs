@@ -13,9 +13,16 @@
 //! without the exclusive lock), so concurrent workers never serialize on
 //! hits. Only insertions (and the evictions they trigger) take the
 //! exclusive lock.
+//!
+//! Response-cache keys embed whole request bodies (tens of KB), so the
+//! map hashes them with [`KeyHasher`], a cheap non-keyed hash, instead of
+//! SipHash. That is safe because a map never holds more than `capacity`
+//! entries: even keys crafted to collide cost at most `capacity` full-key
+//! comparisons per lookup, so hash flooding buys an attacker nothing.
+//! Every hit still compares the full key.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -44,6 +51,43 @@ impl CacheObs {
     }
 }
 
+/// Word-at-a-time multiplicative hash (the FxHash step) over four
+/// independent lanes, so the multiply latency of one lane overlaps the
+/// others'. Not keyed: see the module docs for why that is safe here.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+const MUL: u64 = 0x517c_c1b7_2722_0a95;
+
+fn mix(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(MUL)
+}
+
+/// Up to eight bytes as a little-endian word, zero-padded.
+fn word(bytes: &[u8]) -> u64 {
+    let mut buf = [0u8; 8];
+    buf[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(buf)
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut blocks = bytes.chunks_exact(32);
+        let mut lanes = [self.0, 1, 2, 3];
+        for block in &mut blocks {
+            for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = mix(*lane, word(w));
+            }
+        }
+        let folded = lanes.into_iter().fold(bytes.len() as u64, mix);
+        self.0 = blocks.remainder().chunks(8).map(word).fold(folded, mix);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 struct Entry<V> {
     value: Arc<V>,
     last_used: AtomicU64,
@@ -51,7 +95,7 @@ struct Entry<V> {
 
 struct Inner<K, V> {
     capacity: usize,
-    map: HashMap<K, Entry<V>>,
+    map: HashMap<K, Entry<V>, BuildHasherDefault<KeyHasher>>,
 }
 
 /// Shared LRU cache; cheap to clone handles via `Arc` at the call sites.
@@ -60,6 +104,7 @@ pub struct LruCache<K, V> {
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
+    evictions: AtomicU64,
     obs: Option<&'static CacheObs>,
 }
 
@@ -69,11 +114,12 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         Self {
             inner: RwLock::new(Inner {
                 capacity: capacity.max(1),
-                map: HashMap::new(),
+                map: HashMap::default(),
             }),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
             obs: None,
         }
     }
@@ -112,22 +158,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Inserts `key → value`, evicting the least-recently-used entry when
     /// at capacity.
     pub fn insert(&self, key: K, value: Arc<V>) {
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut inner = self.inner.write().expect("cache lock poisoned");
-        if !inner.map.contains_key(&key) && inner.map.len() >= inner.capacity {
-            // O(capacity) scan; capacities here are tens of entries.
-            if let Some(evict) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&evict);
-                if let Some(obs) = self.obs {
-                    obs.evictions.add(1);
-                }
-            }
-        }
+        // Drawn under the exclusive lock, so every tick already stored
+        // is older: the new entry is strictly the most recently used.
+        let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         inner.map.insert(
             key,
             Entry {
@@ -135,6 +169,23 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
                 last_used: AtomicU64::new(tick),
             },
         );
+        if inner.map.len() > inner.capacity {
+            // O(capacity) scans; capacities here are tens of entries.
+            // Ticks are unique, so exactly the LRU entry goes, without
+            // cloning or rehashing its key.
+            let oldest = inner
+                .map
+                .values()
+                .map(|e| e.last_used.load(Ordering::Relaxed))
+                .min();
+            inner
+                .map
+                .retain(|_, e| Some(e.last_used.load(Ordering::Relaxed)) != oldest);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            if let Some(obs) = self.obs {
+                obs.evictions.add(1);
+            }
+        }
     }
 
     /// Computes-and-caches: returns the cached value or runs `f`, stores
@@ -154,6 +205,11 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
         )
+    }
+
+    /// Entries displaced by a capacity eviction since construction.
+    pub fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Number of live entries.
@@ -293,6 +349,85 @@ mod tests {
         assert_eq!(*cache.get(&3).unwrap(), 30);
         assert_eq!(*cache.get(&4).unwrap(), 40);
         assert_eq!(*held, 10);
+    }
+
+    /// A response-cache-sized key: `len` bytes of pseudo-random JSON-ish
+    /// text, like a generation-prefixed request body.
+    fn long_key(len: usize) -> String {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let alphabet = b"0123456789.,[]{}\":e-";
+                char::from(alphabet[(x % alphabet.len() as u64) as usize])
+            })
+            .collect()
+    }
+
+    fn key_hash(key: &str) -> u64 {
+        use std::hash::BuildHasher;
+        BuildHasherDefault::<KeyHasher>::default().hash_one(key)
+    }
+
+    /// Replaces the byte at `at` with a different ASCII digit.
+    fn flip(key: &str, at: usize) -> String {
+        let mut bytes = key.as_bytes().to_vec();
+        bytes[at] = if bytes[at] == b'7' { b'8' } else { b'7' };
+        String::from_utf8(bytes).unwrap()
+    }
+
+    #[test]
+    fn long_keys_differing_in_the_first_byte_stay_distinct() {
+        let a = long_key(50_000);
+        let b = flip(&a, 0);
+        assert_ne!(key_hash(&a), key_hash(&b));
+        let cache: LruCache<String, u32> = LruCache::new(4);
+        cache.insert(a.clone(), Arc::new(1));
+        cache.insert(b.clone(), Arc::new(2));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(*cache.get(&a).unwrap(), 1);
+        assert_eq!(*cache.get(&b).unwrap(), 2);
+    }
+
+    #[test]
+    fn long_keys_differing_in_the_last_tail_byte_stay_distinct() {
+        // 50_003 bytes: the last three sit in a partial 8-byte word
+        // after the last 32-byte block.
+        let a = long_key(50_003);
+        assert_ne!(a.len() % 32 % 8, 0);
+        let b = flip(&a, a.len() - 1);
+        assert_ne!(key_hash(&a), key_hash(&b), "the tail must reach the hash");
+        let cache: LruCache<String, u32> = LruCache::new(4);
+        cache.insert(a.clone(), Arc::new(1));
+        assert!(cache.get(&b).is_none(), "a near-twin key must miss");
+        cache.insert(b.clone(), Arc::new(2));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(*cache.get(&a).unwrap(), 1);
+        assert_eq!(*cache.get(&b).unwrap(), 2);
+    }
+
+    #[test]
+    fn full_cache_of_long_keys_evicts_exactly_the_lru_entry() {
+        let keys: Vec<String> = (0..4)
+            .map(|i| format!("g{i}\n{}", long_key(50_000)))
+            .collect();
+        let cache: LruCache<String, usize> = LruCache::new(3);
+        for (i, k) in keys.iter().take(3).enumerate() {
+            cache.insert(k.clone(), Arc::new(i));
+        }
+        // Touch 0 and 2, so 1 is the least recently used.
+        assert!(cache.get(&keys[0]).is_some());
+        assert!(cache.get(&keys[2]).is_some());
+        assert_eq!(cache.evictions(), 0);
+        cache.insert(keys[3].clone(), Arc::new(3));
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.evictions(), 1);
+        assert!(cache.get(&keys[1]).is_none(), "1 was the LRU entry");
+        for i in [0, 2, 3] {
+            assert_eq!(*cache.get(&keys[i]).unwrap(), i);
+        }
     }
 
     #[test]

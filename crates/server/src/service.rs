@@ -405,7 +405,8 @@ fn drift_log(state: &ServiceState) -> Result<String, ServiceError> {
 /// rejections), then replayed verbatim into every replica under the
 /// ingest-order mutex, so all engines stay byte-identical mirrors.
 fn ingest(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
-    let (doc, runs) = parse_target_runs(body)?;
+    let doc = parse_body(body)?;
+    let runs = target_runs(&doc)?;
     let tenant = doc
         .get("tenant")
         .and_then(Json::as_str)
@@ -489,10 +490,13 @@ fn validate_corpus(body: &str) -> Result<String, ServiceError> {
     .compact())
 }
 
-/// Parses the `"runs"` array shared by every `POST` body.
-fn parse_target_runs(body: &str) -> Result<(Json, Vec<ExperimentRun>), ServiceError> {
-    let doc = Json::parse(body)
-        .map_err(|e| ServiceError::bad_request(format!("invalid JSON body: {e}")))?;
+/// Parses a `POST` body as JSON; each handler parses its body once.
+fn parse_body(body: &str) -> Result<Json, ServiceError> {
+    Json::parse(body).map_err(|e| ServiceError::bad_request(format!("invalid JSON body: {e}")))
+}
+
+/// Decodes the `"runs"` array shared by every `POST` body.
+fn target_runs(doc: &Json) -> Result<Vec<ExperimentRun>, ServiceError> {
     let runs = doc
         .get("runs")
         .and_then(Json::as_arr)
@@ -500,14 +504,12 @@ fn parse_target_runs(body: &str) -> Result<(Json, Vec<ExperimentRun>), ServiceEr
     if runs.is_empty() {
         return Err(ServiceError::bad_request("'runs' must not be empty"));
     }
-    let parsed: Vec<ExperimentRun> = runs
-        .iter()
+    runs.iter()
         .enumerate()
         .map(|(i, r)| {
             run_from_json(r).map_err(|e| ServiceError::bad_request(format!("runs[{i}]: {e}")))
         })
-        .collect::<Result<_, _>>()?;
-    Ok((doc, parsed))
+        .collect()
 }
 
 fn matrix_to_json(m: &Matrix) -> Json {
@@ -589,7 +591,8 @@ fn joint_fingerprints(
 /// default, `"mts"`, `"phase"`, or `"embed"`) and `"nbins"` (Hist-FP
 /// only).
 fn fingerprint(state: &ServiceState, _shard: usize, body: &str) -> Result<String, ServiceError> {
-    let (doc, runs) = parse_target_runs(body)?;
+    let doc = parse_body(body)?;
+    let runs = target_runs(&doc)?;
     let repr = match doc.get("representation").and_then(Json::as_str) {
         None => Representation::HistFp,
         Some(s) => Representation::parse(s).ok_or_else(|| {
@@ -713,7 +716,8 @@ fn verdicts_to_json(verdicts: &[SimilarityVerdict]) -> Json {
 ///   counters (summed over the posted runs), so clients can both tell
 ///   the paths apart and see how much work the lower bounds saved.
 fn similar(state: &ServiceState, shard: usize, body: &str) -> Result<String, ServiceError> {
-    let (doc, runs) = parse_target_runs(body)?;
+    let doc = parse_body(body)?;
+    let runs = target_runs(&doc)?;
     match doc.get("mode").and_then(Json::as_str) {
         None | Some("exact") => {
             let verdicts = similar_verdicts(state, shard, &runs)?;
@@ -772,7 +776,8 @@ fn similar(state: &ServiceState, shard: usize, body: &str) -> Result<String, Ser
 /// fields `"from_cpus"` / `"to_cpus"` label the SKU pair (defaults 2 and
 /// 8, the default corpus' pair).
 fn predict(state: &ServiceState, shard: usize, body: &str) -> Result<String, ServiceError> {
-    let (doc, runs) = parse_target_runs(body)?;
+    let doc = parse_body(body)?;
+    let runs = target_runs(&doc)?;
     let cpus = |key: &str, default: f64| -> Result<f64, ServiceError> {
         match doc.get(key) {
             None => Ok(default),
@@ -908,8 +913,7 @@ fn cv_residuals(
 /// predicted throughput meets the SLO, or `null` when none does.
 fn recommend(state: &ServiceState, shard: usize, body: &str) -> Result<String, ServiceError> {
     let _span = OBS_RECOMMEND_SPAN.start();
-    let doc = Json::parse(body)
-        .map_err(|e| ServiceError::bad_request(format!("invalid JSON body: {e}")))?;
+    let doc = parse_body(body)?;
     let slo = doc
         .get("slo")
         .ok_or_else(|| ServiceError::bad_request("body needs a 'slo' throughput target"))?
@@ -949,10 +953,7 @@ fn recommend(state: &ServiceState, shard: usize, body: &str) -> Result<String, S
                 .ok_or_else(|| ServiceError::bad_request(format!("unknown tenant '{name}'")))?;
             (runs, format!("tenant:{name}"))
         }
-        (None, Some(_)) => {
-            let (_, runs) = parse_target_runs(body)?;
-            (runs, "inline".to_string())
-        }
+        (None, Some(_)) => (target_runs(&doc)?, "inline".to_string()),
     };
 
     let observed = wp_linalg::stats::mean(&runs.iter().map(|r| r.throughput).collect::<Vec<_>>());
@@ -1728,6 +1729,77 @@ mod tests {
         }
         let (s, _) = handle(&state, &request("GET", "/recommend", ""));
         assert_eq!(s, 405);
+    }
+
+    /// Inline-run decoding errors on `/recommend` keep their exact 400
+    /// bodies and their order: body JSON first, then `slo`, then the
+    /// `runs` array, then each run.
+    #[test]
+    fn recommend_malformed_inline_runs_keep_their_exact_400_bodies() {
+        let state = test_state();
+        let doc = Json::parse(&target_body(5)).unwrap();
+        let run0 = doc.get("runs").and_then(Json::as_arr).unwrap()[0].compact();
+        let cases = [
+            (
+                "{\"slo\":10,\"runs\":[{}]}".to_string(),
+                "runs[0]: missing field 'key'",
+            ),
+            (
+                format!("{{\"slo\":10,\"runs\":[{run0},{{\"key\":{{}}}}]}}"),
+                "runs[1]: missing field 'resources'",
+            ),
+            (
+                "{\"slo\":10,\"runs\":[{\"key\":{\"workload\":\"w\",\"sku\":\"s\",\
+                 \"terminals\":-1},\"resources\":{},\"plans\":{}}]}"
+                    .to_string(),
+                "runs[0]: field 'terminals' must be a non-negative integer",
+            ),
+            (
+                "{\"slo\":10,\"runs\":{}}".to_string(),
+                "body needs a 'runs' array",
+            ),
+            (
+                "{\"slo\":10,\"runs\":[]}".to_string(),
+                "'runs' must not be empty",
+            ),
+            (
+                "{\"runs\":[{}]}".to_string(),
+                "body needs a 'slo' throughput target",
+            ),
+            (
+                "{\"slo\":10,\"runs\":[1.5e]}".to_string(),
+                "invalid JSON body: invalid number '1.5e' at byte 18",
+            ),
+        ];
+        for (body, message) in cases {
+            let (s, resp) = handle(&state, &request("POST", "/recommend", &body));
+            assert_eq!(s, 400, "{message}");
+            assert_eq!(resp, obj! { "error" => message }.compact());
+        }
+    }
+
+    /// A matrix shape whose element count overflows `usize` is a 400,
+    /// not a wrapped length check that accepts an empty buffer.
+    #[test]
+    fn similar_rejects_a_matrix_shape_that_overflows() {
+        let state = test_state();
+        // The first run's resource matrix becomes the overflowing shape;
+        // its real matrix moves under a member the decoder ignores.
+        let compact = Json::parse(&target_body(5)).unwrap().compact();
+        let body = compact.replacen(
+            "\"resources\":{\"data\":{",
+            "\"resources\":{\"data\":{\"rows\":4294967296,\"cols\":4294967296,\"data\":[]},\
+             \"unused\":{",
+            1,
+        );
+        assert_ne!(body, compact);
+        let (s, resp) = handle(&state, &request("POST", "/similar", &body));
+        assert_eq!(s, 400, "{resp}");
+        assert_eq!(
+            resp,
+            obj! { "error" => "runs[0]: matrix shape 4294967296x4294967296 overflows usize" }
+                .compact()
+        );
     }
 
     /// A `"tenant"` recommendation reads the live window, and an ingest
