@@ -37,6 +37,24 @@ pub struct Request {
 /// Returns `Ok(None)` on a clean EOF before the first byte (the peer
 /// closed an idle keep-alive connection) and `Err` on malformed framing.
 pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, String> {
+    match read_head(reader)? {
+        Some(head) => read_body(reader, head).map(Some),
+        None => Ok(None),
+    }
+}
+
+/// The request line and headers of one request: everything needed to
+/// frame its body.
+struct Head {
+    method: String,
+    path: String,
+    keep_alive: bool,
+    content_length: usize,
+}
+
+/// Reads the request line and headers, applying every framing check
+/// that does not need the body. `Ok(None)` on EOF before any byte.
+fn read_head(reader: &mut impl BufRead) -> Result<Option<Head>, String> {
     let Some(request_line) = read_line(reader)? else {
         return Ok(None);
     };
@@ -63,13 +81,23 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, String
         let Some((name, value)) = line.split_once(':') else {
             return Err(format!("malformed header '{line}'"));
         };
-        let name = name.trim().to_ascii_lowercase();
+        // Whitespace around the name is whitespace before the colon or
+        // an obs-fold continuation line; RFC 9112 §5.1–5.2 require
+        // rejecting both rather than guessing the name.
+        if name.trim() != name {
+            return Err(format!("malformed header '{line}'"));
+        }
+        let name = name.to_ascii_lowercase();
         let value = value.trim();
         match name.as_str() {
             "content-length" => {
+                // `Content-Length = 1*DIGIT`; `usize::from_str` alone
+                // would also take a leading `+`.
                 let parsed: usize = value
                     .parse()
-                    .map_err(|_| format!("bad Content-Length '{value}'"))?;
+                    .ok()
+                    .filter(|_| value.bytes().all(|b| b.is_ascii_digit()))
+                    .ok_or_else(|| format!("bad Content-Length '{value}'"))?;
                 // Duplicates that agree are harmless repetition;
                 // duplicates that disagree are a request-smuggling shape
                 // (RFC 9112 §6.3) and must not be resolved by picking one.
@@ -100,18 +128,28 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, String
     if content_length > MAX_BODY_BYTES {
         return Err(format!("body of {content_length} bytes exceeds limit"));
     }
-    let mut raw = vec![0u8; content_length];
+    Ok(Some(Head {
+        method,
+        path,
+        keep_alive,
+        content_length,
+    }))
+}
+
+/// Reads the `head.content_length` body bytes that follow `head` and
+/// validates them as UTF-8.
+fn read_body(reader: &mut impl BufRead, head: Head) -> Result<Request, String> {
+    let mut raw = vec![0u8; head.content_length];
     reader
         .read_exact(&mut raw)
         .map_err(|e| format!("reading body: {e}"))?;
     let body = String::from_utf8(raw).map_err(|_| "body is not valid UTF-8".to_string())?;
-
-    Ok(Some(Request {
-        method,
-        path,
+    Ok(Request {
+        method: head.method,
+        path: head.path,
         body,
-        keep_alive,
-    }))
+        keep_alive: head.keep_alive,
+    })
 }
 
 /// Outcome of one incremental parse attempt over buffered bytes.
@@ -135,7 +173,7 @@ pub enum Parsed {
 }
 
 /// Marker smuggled through `io::Error` to tell a truncated buffer apart
-/// from a real framing error inside [`read_request`].
+/// from a real framing error inside [`read_head`].
 const NEED_MORE: &str = "incremental parse suspended: need more bytes";
 
 /// A `BufRead` over a byte slice that reports the end of the slice as
@@ -189,23 +227,36 @@ impl BufRead for SliceReader<'_> {
 /// the peer will send nothing further, which resolves every pending
 /// case (clean close, a final body, or a mid-frame truncation error).
 ///
-/// It literally runs [`read_request`] over the buffer, suspending it
-/// when the bytes run out, so accept/reject verdicts and error strings
-/// are identical to the blocking path by construction. Re-running from
-/// scratch as the buffer grows is sound because the parser's verdicts
-/// depend only on the byte stream, never on how it is chunked (see
-/// [`read_line`]'s cap contract) — a prefix that parses to an error
-/// still parses to that same error with more bytes appended, and a
-/// prefix that suspends has rejected nothing yet.
+/// It runs the same two steps as [`read_request`] over the buffer, with
+/// the head read suspended when the bytes run out, so accept/reject
+/// verdicts and error strings are identical to the blocking path by
+/// construction. Re-running from scratch as the buffer grows is sound
+/// because the parser's verdicts depend only on the byte stream, never
+/// on how it is chunked (see [`read_line`]'s cap contract) — a prefix
+/// that parses to an error still parses to that same error with more
+/// bytes appended, and a prefix that suspends has rejected nothing yet.
+///
+/// Once the head is read, the body's only verdicts (UTF-8, or a short
+/// read at EOF) need all of it, so a body still arriving is reported
+/// `Incomplete` straight from `Content-Length`: it is allocated and
+/// copied once, by the call that frames it, however many reads it
+/// spans.
 pub fn parse_request(buf: &[u8], eof: bool) -> Parsed {
     let mut reader = SliceReader { buf, pos: 0, eof };
-    match read_request(&mut reader) {
-        Ok(Some(request)) => Parsed::Request {
+    let head = match read_head(&mut reader) {
+        Ok(Some(head)) => head,
+        Ok(None) => return Parsed::Closed,
+        Err(msg) if msg.contains(NEED_MORE) => return Parsed::Incomplete,
+        Err(msg) => return Parsed::Invalid(msg),
+    };
+    if !eof && buf.len() - reader.pos < head.content_length {
+        return Parsed::Incomplete;
+    }
+    match read_body(&mut reader, head) {
+        Ok(request) => Parsed::Request {
             request,
             consumed: reader.pos,
         },
-        Ok(None) => Parsed::Closed,
-        Err(msg) if msg.contains(NEED_MORE) => Parsed::Incomplete,
         Err(msg) => Parsed::Invalid(msg),
     }
 }
@@ -360,6 +411,11 @@ mod tests {
             .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.body, "{\"a\":1}");
+        // optional whitespace around the value is not part of it
+        let req = parse("POST /similar HTTP/1.1\r\nContent-Length:\t 2 \r\n\r\n{}")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, "{}");
     }
 
     #[test]
@@ -398,6 +454,65 @@ mod tests {
         assert!(parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n").is_err());
         // body shorter than Content-Length
         assert!(parse("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc").is_err());
+
+        // `Content-Length = 1*DIGIT`: no sign, no empty or other value,
+        // and a signed duplicate is not an agreeing duplicate.
+        for (text, value) in [
+            (
+                "POST /similar HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}",
+                "+2",
+            ),
+            (
+                "POST /similar HTTP/1.1\r\nContent-Length: -0\r\n\r\n{}",
+                "-0",
+            ),
+            ("POST /similar HTTP/1.1\r\nContent-Length: \r\n\r\n{}", ""),
+            (
+                "POST /similar HTTP/1.1\r\nContent-Length: 2 2\r\n\r\n{}",
+                "2 2",
+            ),
+            (
+                "POST /similar HTTP/1.1\r\nContent-Length: \u{0662}\r\n\r\n{}",
+                "\u{0662}",
+            ),
+            (
+                "POST /similar HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: +2\r\n\r\n{}",
+                "+2",
+            ),
+        ] {
+            assert_eq!(
+                parse(text).unwrap_err(),
+                format!("bad Content-Length '{value}'"),
+                "{text:?}"
+            );
+        }
+
+        // Whitespace before the colon and obs-fold lines (RFC 9112
+        // §5.1–5.2) are rejected, not read as a Content-Length.
+        for (text, line) in [
+            (
+                "POST /similar HTTP/1.1\r\nContent-Length : 2\r\n\r\n{}",
+                "Content-Length : 2",
+            ),
+            (
+                "POST /similar HTTP/1.1\r\nContent-Length\t: 2\r\n\r\n{}",
+                "Content-Length\t: 2",
+            ),
+            (
+                "POST /similar HTTP/1.1\r\nHost: a\r\n Content-Length: 2\r\n\r\n{}",
+                " Content-Length: 2",
+            ),
+            (
+                "POST /similar HTTP/1.1\r\nHost: a\r\n\tContent-Length: 2\r\n\r\n{}",
+                "\tContent-Length: 2",
+            ),
+        ] {
+            assert_eq!(
+                parse(text).unwrap_err(),
+                format!("malformed header '{line}'"),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]
@@ -491,8 +606,30 @@ mod tests {
         panic!("no verdict for {bytes:?}");
     }
 
+    /// A `POST /similar` whose body (about 20 KB) spans more than one
+    /// 16 KiB socket read, so byte-by-byte replay crosses every point
+    /// where the head is complete but the body is not.
+    fn large_post() -> Vec<u8> {
+        let body = format!("{{\"runs\":[{}0]}}", "1234567,".repeat(2500));
+        let mut bytes = format!(
+            "POST /similar HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        bytes.extend_from_slice(body.as_bytes());
+        bytes
+    }
+
     #[test]
     fn incremental_parse_matches_blocking_parse_byte_by_byte() {
+        let large = large_post();
+        let mut bad_last_byte = large.clone();
+        *bad_last_byte.last_mut().unwrap() = 0xFF;
+        let cut_in_body = &large[..large.len() - 5_000];
+        let large_cases: [&[u8]; 3] = [&large, &bad_last_byte, cut_in_body];
+        for case in large_cases {
+            assert_incremental_matches_blocking(case);
+        }
         let cases: &[&[u8]] = &[
             b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
             b"POST /similar HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"a\":1}",
@@ -506,6 +643,11 @@ mod tests {
             b"POST / HTTP/1.1\r\nContent-Length: 11\r\nContent-Length: 3\r\n\r\n{\"runs\":[]}",
             b"GET / HTTP/1.1\r\nX-Tail: v\r\n\r", // EOF inside the final CRLF
             b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc", // body truncated at EOF
+            b"POST /similar HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}",
+            b"POST /similar HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: +2\r\n\r\n{}",
+            b"POST /similar HTTP/1.1\r\nContent-Length : 2\r\n\r\n{}",
+            b"POST /similar HTTP/1.1\r\nContent-Length\t: 2\r\n\r\n{}",
+            b"POST /similar HTTP/1.1\r\nHost: a\r\n Content-Length: 2\r\n\r\n{}",
             b"",
         ];
         for case in cases {
@@ -531,6 +673,30 @@ mod tests {
         assert_eq!(request.path, "/similar");
         assert_eq!(request.body, "{}");
         assert_eq!(consumed, second.len());
+
+        // A GET pipelined right after a body that spans several reads.
+        let large = large_post();
+        let mut stream = large.clone();
+        stream.extend_from_slice(first);
+        for cut in [large.len() / 2, large.len() - 1] {
+            assert!(matches!(
+                parse_request(&stream[..cut], false),
+                Parsed::Incomplete
+            ));
+        }
+        let Parsed::Request { request, consumed } = parse_request(&stream, false) else {
+            panic!("large request frames without EOF");
+        };
+        assert_eq!(request.path, "/similar");
+        assert!(request.body.len() > 16 * 1024);
+        assert!(large.ends_with(request.body.as_bytes()));
+        assert_eq!(consumed, large.len());
+        let Parsed::Request { request, consumed } = parse_request(&stream[consumed..], false)
+        else {
+            panic!("pipelined GET frames from the remainder");
+        };
+        assert_eq!(request.path, "/healthz");
+        assert_eq!(consumed, first.len());
     }
 
     #[test]

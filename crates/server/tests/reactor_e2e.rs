@@ -201,6 +201,60 @@ fn every_endpoint_is_byte_identical_across_backends() {
     reactor.shutdown();
 }
 
+/// A body that arrives over many reads is framed exactly as if it
+/// arrived in one. On each backend, one `/similar` request is sent in
+/// 1 KiB writes a few milliseconds apart, with a pipelined
+/// `GET /healthz` in the last write; both responses must be
+/// byte-identical to those for the same bytes sent in a single write.
+#[test]
+fn split_delivery_is_byte_identical_to_a_single_write() {
+    let body = wp_loadgen::validated_mix(SEED, 60)
+        .into_iter()
+        .find(|e| e.path == "/similar")
+        .expect("the mix posts /similar")
+        .body;
+    let post = format!(
+        "POST /similar HTTP/1.1\r\nConnection: keep-alive\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes();
+    let get = b"GET /healthz HTTP/1.1\r\n\r\n";
+    assert!(post.len() > 16 * 1024, "the body must span several reads");
+
+    for backend in [Backend::Workers, Backend::Reactor] {
+        let server = start(backend, 2, Duration::from_secs(30));
+
+        let mut whole = Conn::open(server.addr());
+        whole
+            .stream
+            .write_all(&[post.as_slice(), get].concat())
+            .expect("write request pair");
+        let expected = [whole.read_response(), whole.read_response()];
+        assert_eq!(status_of(&expected[0]), 200, "{backend:?}");
+        assert_eq!(status_of(&expected[1]), 200, "{backend:?}");
+
+        let mut split = Conn::open(server.addr());
+        split.stream.set_nodelay(true).unwrap();
+        let chunks: Vec<&[u8]> = post.chunks(1024).collect();
+        let (last, rest) = chunks.split_last().expect("non-empty request");
+        for chunk in rest {
+            split.stream.write_all(chunk).expect("write chunk");
+            std::thread::sleep(Duration::from_millis(3));
+        }
+        split
+            .stream
+            .write_all(&[*last, get].concat())
+            .expect("write last chunk");
+        let got = [split.read_response(), split.read_response()];
+        assert_eq!(
+            got, expected,
+            "{backend:?}: split delivery changed the response bytes"
+        );
+
+        server.shutdown();
+    }
+}
+
 /// Keep-alive connections are reused on both backends: one socket
 /// serves many requests, `/stats` counts exactly the connections that
 /// were accepted, and `Connection: close` actually closes.
