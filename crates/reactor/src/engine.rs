@@ -72,7 +72,6 @@ pub(crate) fn start<A: App>(
         poller.add(shard_listener.as_raw_fd(), TOKEN_LISTENER, INTEREST_READ)?;
         poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, INTEREST_READ)?;
         let shard = Shard {
-            id,
             app: Arc::clone(&app),
             listener: shard_listener,
             wake: wake_rx,
@@ -227,7 +226,6 @@ enum WriteStep {
 }
 
 struct Shard<A: App> {
-    id: usize,
     app: Arc<A>,
     listener: TcpListener,
     wake: UnixStream,
@@ -482,7 +480,7 @@ impl<A: App> Shard<A> {
                 None
             } else {
                 let eof = conn.eof;
-                Some(app.parse(self.id, &conn.read_buf, eof))
+                Some(app.parse(&conn.read_buf, eof))
             }
         };
         let Some(outcome) = outcome else {
@@ -522,19 +520,17 @@ impl<A: App> Shard<A> {
                     conn.read_buf.drain(..consumed.min(conn.read_buf.len()));
                 }
                 let force_close = self.draining;
-                let shard = self.id;
-                let response = match catch_unwind(AssertUnwindSafe(|| {
-                    app.respond(shard, request, force_close)
-                })) {
-                    Ok(response) => response,
-                    Err(_) => {
-                        // A panicking handler forfeits the
-                        // connection, like a panicking worker
-                        // thread in the blocking pool.
-                        self.close(token);
-                        return false;
-                    }
-                };
+                let response =
+                    match catch_unwind(AssertUnwindSafe(|| app.respond(request, force_close))) {
+                        Ok(response) => response,
+                        Err(_) => {
+                            // A panicking handler forfeits the
+                            // connection, like a panicking worker
+                            // thread in the blocking pool.
+                            self.close(token);
+                            return false;
+                        }
+                    };
                 let delay = response.delay;
                 if let Some(conn) = self.conns.get_mut(token) {
                     conn.load_response(response);
@@ -615,7 +611,7 @@ impl<A: App> Shard<A> {
                         .get(token)
                         .map(|c| !c.read_buf.is_empty())
                         .unwrap_or(false);
-                    match self.app.on_idle_timeout(self.id, partial) {
+                    match self.app.on_idle_timeout(partial) {
                         None => self.close(token),
                         Some(bytes) => {
                             if let Some(conn) = self.conns.get_mut(token) {

@@ -13,15 +13,14 @@
 //!   or truncated), or sitting in idle keep-alive.
 //! - **Shards own their connections.** The listener is registered with
 //!   every shard; whichever shard's `accept` wins keeps the connection
-//!   for its whole life, so per-shard application state needs no
-//!   cross-shard locking on the hot path.
+//!   for its whole life.
 //! - **Timers are a deadline wheel.** Idle keep-alive deadlines,
 //!   injected latency, and inter-chunk write pauses all live in a
 //!   fixed-tick wheel ([`wheel`]), so a slow or silent client costs a
 //!   timer entry instead of a blocked thread.
 //! - **The application is a trait.** The reactor knows nothing about
 //!   HTTP: an [`App`] supplies incremental parsing, request handling,
-//!   and timeout responses, keyed by shard so state can be partitioned.
+//!   and timeout responses.
 //!
 //! The crate is Unix-only at runtime (epoll or poll); on other targets
 //! it still compiles and [`Reactor::start`] reports an unsupported-
@@ -117,18 +116,18 @@ pub trait App: Send + Sync + 'static {
     /// Tries to frame one request from the buffered bytes. `eof` is
     /// true once the peer has shut down its write side; the app must
     /// then resolve to something other than [`Parse::Incomplete`].
-    fn parse(&self, shard: usize, buf: &[u8], eof: bool) -> Parse<Self::Request>;
+    fn parse(&self, buf: &[u8], eof: bool) -> Parse<Self::Request>;
 
     /// Handles one framed request. `force_close` is set while the
     /// reactor drains for shutdown, so the response should announce
     /// `Connection: close`.
-    fn respond(&self, shard: usize, request: Self::Request, force_close: bool) -> Response;
+    fn respond(&self, request: Self::Request, force_close: bool) -> Response;
 
     /// A connection sat past the idle deadline. `partial` is true when
     /// it stalled mid-request (bytes are buffered but unframed); the
     /// returned bytes are written before closing, `None` closes
     /// silently.
-    fn on_idle_timeout(&self, shard: usize, partial: bool) -> Option<Vec<u8>>;
+    fn on_idle_timeout(&self, partial: bool) -> Option<Vec<u8>>;
 }
 
 /// Tuning for [`Reactor::start`].

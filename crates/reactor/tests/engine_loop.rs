@@ -27,7 +27,7 @@ impl App for EchoApp {
         true
     }
 
-    fn parse(&self, _shard: usize, buf: &[u8], eof: bool) -> Parse<String> {
+    fn parse(&self, buf: &[u8], eof: bool) -> Parse<String> {
         match buf.iter().position(|b| *b == b'\n') {
             Some(pos) => {
                 let line = String::from_utf8_lossy(&buf[..pos]).into_owned();
@@ -55,10 +55,10 @@ impl App for EchoApp {
         }
     }
 
-    fn respond(&self, shard: usize, request: String, force_close: bool) -> Response {
+    fn respond(&self, request: String, force_close: bool) -> Response {
         let keep_alive = request != "quit" && !force_close;
         let mut response = Response::new(
-            format!("{}#{shard}\n", request.to_uppercase()).into_bytes(),
+            format!("{}\n", request.to_uppercase()).into_bytes(),
             keep_alive,
         );
         if request == "slow" {
@@ -73,7 +73,7 @@ impl App for EchoApp {
         response
     }
 
-    fn on_idle_timeout(&self, _shard: usize, partial: bool) -> Option<Vec<u8>> {
+    fn on_idle_timeout(&self, partial: bool) -> Option<Vec<u8>> {
         self.timeouts.fetch_add(1, Ordering::SeqCst);
         partial.then(|| b"TIMEOUT\n".to_vec())
     }
@@ -142,10 +142,7 @@ fn keep_alive_roundtrips(force_poll: bool) {
         let msg = format!("hello-{i}\n");
         stream.write_all(msg.as_bytes()).expect("write");
         let line = read_line(&mut stream);
-        assert!(
-            line.starts_with(&format!("HELLO-{i}#")),
-            "request {i} echoed: {line:?}"
-        );
+        assert_eq!(line, format!("HELLO-{i}"), "request {i} echoed");
     }
     // All 50 requests rode one connection.
     assert_eq!(rig.app.accepted.load(Ordering::SeqCst), 1);
@@ -171,10 +168,7 @@ fn pipelined_requests_are_answered_in_order() {
     let text = String::from_utf8(body).expect("utf-8");
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 4, "four responses: {text:?}");
-    assert!(lines[0].starts_with("A#"));
-    assert!(lines[1].starts_with("B#"));
-    assert!(lines[2].starts_with("C#"));
-    assert!(lines[3].starts_with("QUIT#"));
+    assert_eq!(lines, ["A", "B", "C", "QUIT"]);
     rig.handle.shutdown();
 }
 
@@ -186,7 +180,7 @@ fn chunked_and_truncated_write_modes() {
     stream.write_all(b"slow\n").expect("write");
     let started = Instant::now();
     let line = read_line(&mut stream);
-    assert!(line.starts_with("SLOW#"), "paced response intact: {line:?}");
+    assert_eq!(line, "SLOW", "paced response intact");
     assert!(
         started.elapsed() >= Duration::from_millis(15),
         "two inter-chunk pauses of 10ms each"
@@ -195,7 +189,7 @@ fn chunked_and_truncated_write_modes() {
     let mut stream = connect(rig.addr);
     stream.write_all(b"half\n").expect("write");
     let body = read_to_end(&mut stream);
-    let expected = b"HALF#0\n";
+    let expected = b"HALF\n";
     assert_eq!(body, expected[..expected.len() / 2].to_vec());
     rig.handle.shutdown();
 }
@@ -235,7 +229,7 @@ fn shutdown_drains_idle_keepalive_connections_promptly() {
     for _ in 0..4 {
         let mut stream = connect(rig.addr);
         stream.write_all(b"ping\n").expect("write");
-        assert!(read_line(&mut stream).starts_with("PING#"));
+        assert_eq!(read_line(&mut stream), "PING");
         parked.push(stream);
     }
     let started = Instant::now();
@@ -268,10 +262,7 @@ fn many_concurrent_keepalive_connections_on_two_shards() {
         }
         for (i, stream) in streams.iter_mut().enumerate() {
             let line = read_line(stream);
-            assert!(
-                line.starts_with(&format!("R{round}-C{i}#")),
-                "round {round} conn {i}: {line:?}"
-            );
+            assert_eq!(line, format!("R{round}-C{i}"), "round {round} conn {i}");
         }
     }
     assert_eq!(rig.app.accepted.load(Ordering::SeqCst), count);

@@ -28,14 +28,15 @@
 //!   shutdown wakes promptly. The reference implementation.
 //! * [`Backend::Reactor`] — the `wp-reactor` event loop: a few shard
 //!   threads multiplex thousands of keep-alive connections as
-//!   readiness-driven state machines, each connection pinned to its
-//!   accepting shard's [`service::ShardState`] replica.
+//!   readiness-driven state machines.
 //!
-//! Both backends produce byte-identical responses for every endpoint:
-//! request bodies use the `wp_telemetry::io` interchange schema, derived
-//! state lives in LRU caches (a cache hit is bit-identical to a
-//! recompute — handlers are deterministic functions of the request
-//! body), and shutdown drains in-flight requests before threads exit.
+//! Both backends serve one [`service::LiveState`] (the streaming engine
+//! and the caches) and produce byte-identical responses for every
+//! endpoint: request bodies use the `wp_telemetry::io` interchange
+//! schema, derived state lives in LRU caches (a cache hit is
+//! bit-identical to a recompute — handlers are deterministic functions
+//! of the request body), and shutdown drains in-flight requests before
+//! threads exit.
 
 #![warn(missing_docs)]
 
@@ -175,19 +176,12 @@ impl Server {
             wp_obs::enable();
         }
         let n = config.workers.max(1);
-        // The reactor pins connections to shards, so each shard gets its
-        // own engine replica; the pool routes everything through shard 0.
-        let shards = match config.backend {
-            Backend::Workers => 1,
-            Backend::Reactor => n,
-        };
-        let mut state = ServiceState::sharded(
+        let mut state = ServiceState::new(
             corpus,
             config.pipeline.clone(),
             config.compute_threads,
             config.cache_capacity,
             config.stream.clone(),
-            shards,
         )?;
         state.obs = config.obs;
         let state = Arc::new(state);
@@ -326,9 +320,9 @@ impl ServerHandle {
 }
 
 /// The shared serving logic, exposed to `wp-reactor` as its [`App`]:
-/// parsing via the incremental parser, routing via the shard-pinned
-/// service, and all per-request fault sites mapped onto reactor
-/// state-machine transitions.
+/// parsing via the incremental parser, routing via [`service::handle`],
+/// and all per-request fault sites mapped onto reactor state-machine
+/// transitions.
 ///
 /// Fault parity with the pool: the pool sleeps `pre_latency` before the
 /// handler and `stall` after it (both before any byte is written), so
@@ -353,7 +347,7 @@ impl wp_reactor::App for ReactorApp {
             .is_some_and(FaultInjector::reset_connection)
     }
 
-    fn parse(&self, _shard: usize, buf: &[u8], eof: bool) -> wp_reactor::Parse<http::Request> {
+    fn parse(&self, buf: &[u8], eof: bool) -> wp_reactor::Parse<http::Request> {
         match http::parse_request(buf, eof) {
             http::Parsed::Incomplete => wp_reactor::Parse::Incomplete,
             http::Parsed::Request { request, consumed } => {
@@ -370,12 +364,7 @@ impl wp_reactor::App for ReactorApp {
         }
     }
 
-    fn respond(
-        &self,
-        shard: usize,
-        request: http::Request,
-        force_close: bool,
-    ) -> wp_reactor::Response {
+    fn respond(&self, request: http::Request, force_close: bool) -> wp_reactor::Response {
         let faults = match self.injector.as_deref() {
             Some(i) => i.request_faults(&request.path),
             None => RequestFaults::CLEAN,
@@ -387,7 +376,7 @@ impl wp_reactor::App for ReactorApp {
                 wp_json::obj! { "error" => "injected overload" }.compact(),
             )
         } else {
-            service::handle_on(&self.state, shard, &request)
+            service::handle(&self.state, &request)
         };
         let elapsed_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         self.state
@@ -424,7 +413,7 @@ impl wp_reactor::App for ReactorApp {
         response
     }
 
-    fn on_idle_timeout(&self, _shard: usize, partial: bool) -> Option<Vec<u8>> {
+    fn on_idle_timeout(&self, partial: bool) -> Option<Vec<u8>> {
         partial.then(|| {
             let body =
                 wp_json::obj! { "error" => "timed out waiting for a complete request" }.compact();

@@ -1,28 +1,19 @@
 //! Request routing and endpoint handlers.
 //!
 //! Handlers are pure functions of the shared [`ServiceState`]: the
-//! pre-built corpus, the features selected at startup, and per-shard
-//! live state — a streaming engine replica plus two LRU caches
+//! pre-built corpus, the features selected at startup, and one
+//! [`LiveState`] — the streaming engine plus two LRU caches
 //! (per-reference fingerprint data and whole response bodies). Every
 //! computed response is a deterministic function of the request body,
 //! so a cache hit is byte-identical to a recompute.
 //!
-//! ## Sharding
-//!
-//! The reactor backend pins each connection to one event-loop shard, so
-//! hot-path reads (`/similar` indexed mode, the response cache, the
-//! corpus generation) touch only that shard's [`ShardState`] — no
-//! cross-shard `RwLock` contention. The streaming engine is replicated
-//! per shard: `POST /ingest` applies an accepted batch to every replica
-//! under a global ingest-order mutex, which keeps the replicas
-//! deterministic mirrors of each other (the engine's evolution is a
-//! pure function of the accepted-batch sequence). Shard 0 is the source
-//! of truth: it sees rejected batches too, and `/stats` + `/drift`
-//! always read it, so those documents are identical to the single-
-//! engine behaviour. The blocking workers backend uses one shard.
+//! Both serving backends share that one live state, whatever their
+//! thread count. Reads take the engine's read lock; `POST /ingest`
+//! takes its write lock, which also puts concurrent ingests in one
+//! order.
 
 use std::ops::Range;
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use wp_core::offline::OfflineCorpus;
 use wp_core::pipeline::{PipelineConfig, SimilarityVerdict};
@@ -93,11 +84,9 @@ impl ServiceError {
     }
 }
 
-/// Per-shard live state: one streaming-engine replica plus the two LRU
-/// caches. A reactor shard serves its connections entirely from its own
-/// `ShardState`, so the locks below are effectively uncontended on the
-/// hot read path.
-pub struct ShardState {
+/// The live state every request reads: the streaming engine plus the
+/// two LRU caches, shared by all serving threads.
+pub struct LiveState {
     /// The live corpus: the pruning-cascade index over the startup corpus
     /// plus every streamed tenant reference, evolved by `POST /ingest`
     /// with histogram ranges frozen over the startup corpus. Serves
@@ -123,13 +112,9 @@ pub struct ServiceState {
     /// computation (the pool override is thread-local, so it is applied
     /// around every handler invocation).
     pub compute_threads: Option<usize>,
-    /// One [`ShardState`] per serving shard (always at least one).
-    /// Shard 0 is the source of truth for `/stats` and `/drift`.
-    pub shards: Vec<ShardState>,
-    /// Serializes `POST /ingest` across shards so every engine replica
-    /// sees the identical accepted-batch sequence.
-    ingest_order: Mutex<()>,
-    /// Request accounting (shared across shards — `/stats` is global).
+    /// The streaming engine and caches.
+    pub live: LiveState,
+    /// Request accounting (`/stats`).
     pub stats: ServerStats,
     /// Whether this instance serves `GET /metrics`. Off by default; when
     /// off, routing is byte-identical to a build without the endpoint
@@ -138,9 +123,9 @@ pub struct ServiceState {
 }
 
 impl ServiceState {
-    /// Builds single-shard state: validates the corpus, runs feature
-    /// selection, and boots the streaming engine (which freezes
-    /// histogram ranges over the startup corpus).
+    /// Validates the corpus, runs feature selection, and boots the
+    /// streaming engine (which freezes histogram ranges over the startup
+    /// corpus).
     pub fn new(
         corpus: OfflineCorpus,
         config: PipelineConfig,
@@ -148,44 +133,17 @@ impl ServiceState {
         cache_capacity: usize,
         stream_config: StreamConfig,
     ) -> Result<Self, String> {
-        Self::sharded(
-            corpus,
-            config,
-            compute_threads,
-            cache_capacity,
-            stream_config,
-            1,
-        )
-    }
-
-    /// [`ServiceState::new`] with `shards` independent engine replicas
-    /// and cache sets (feature selection still runs once). Replicas are
-    /// built from the same startup corpus, so they start identical and
-    /// stay identical under the serialized ingest protocol.
-    pub fn sharded(
-        corpus: OfflineCorpus,
-        config: PipelineConfig,
-        compute_threads: Option<usize>,
-        cache_capacity: usize,
-        stream_config: StreamConfig,
-        shards: usize,
-    ) -> Result<Self, String> {
-        let shards = shards.max(1);
-        let (selected, engines) = {
-            let startup = || -> Result<(Vec<FeatureId>, Vec<StreamEngine>), String> {
+        let (selected, engine) = {
+            let startup = || -> Result<(Vec<FeatureId>, StreamEngine), String> {
                 let selected = wp_core::offline::select_features_offline(&corpus, &config)?;
-                let engines = (0..shards)
-                    .map(|_| {
-                        StreamEngine::new(
-                            &corpus,
-                            &selected,
-                            &config,
-                            IndexConfig::default(),
-                            stream_config.clone(),
-                        )
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok((selected, engines))
+                let engine = StreamEngine::new(
+                    &corpus,
+                    &selected,
+                    &config,
+                    IndexConfig::default(),
+                    stream_config,
+                )?;
+                Ok((selected, engine))
             };
             match compute_threads {
                 Some(n) => wp_runtime::with_thread_count(n, startup)?,
@@ -197,82 +155,63 @@ impl ServiceState {
             selected,
             config,
             compute_threads,
-            shards: engines
-                .into_iter()
-                .map(|engine| ShardState {
-                    stream: RwLock::new(engine),
-                    ref_data: LruCache::with_obs(cache_capacity, &REF_DATA_OBS),
-                    responses: LruCache::with_obs(cache_capacity, &RESPONSES_OBS),
-                })
-                .collect(),
-            ingest_order: Mutex::new(()),
+            live: LiveState {
+                stream: RwLock::new(engine),
+                ref_data: LruCache::with_obs(cache_capacity, &REF_DATA_OBS),
+                responses: LruCache::with_obs(cache_capacity, &RESPONSES_OBS),
+            },
             stats: ServerStats::default(),
             obs: false,
         })
     }
 
-    /// The shard state serving `shard` (indices wrap, so any caller-
-    /// provided shard id is valid).
-    pub fn shard(&self, shard: usize) -> &ShardState {
-        &self.shards[shard % self.shards.len()]
+    /// The live state; the argument is ignored. Kept for the benchmark
+    /// client in `perfbench/`, which reads the engine and the response
+    /// cache through it.
+    pub fn shard(&self, _shard: usize) -> &LiveState {
+        &self.live
     }
 
     /// The current corpus generation (bumped by every accepted ingest).
-    pub fn generation(&self) -> u64 {
-        self.generation_on(0)
-    }
-
-    /// The corpus generation as seen by one shard's replica. Identical
-    /// across shards outside the ingest critical section.
     ///
     /// # Panics
     ///
-    /// Panics when the shard's stream lock was poisoned by an earlier
-    /// panic. Request handlers use [`ServiceState::stream_read`] instead,
-    /// which maps poisoning to a 500.
-    pub fn generation_on(&self, shard: usize) -> u64 {
-        self.shard(shard)
-            .stream
-            .read()
-            .expect("stream lock")
-            .generation()
+    /// Panics when the stream lock was poisoned by an earlier panic.
+    /// Request handlers use [`ServiceState::stream_read`] instead, which
+    /// maps poisoning to a 500.
+    pub fn generation(&self) -> u64 {
+        self.live.stream.read().expect("stream lock").generation()
     }
 
-    /// Read access to one shard's streaming engine; a lock poisoned by
-    /// an earlier panic becomes a 500 instead of propagating the panic
-    /// into this request too.
-    fn stream_read(&self, shard: usize) -> Result<RwLockReadGuard<'_, StreamEngine>, ServiceError> {
-        self.shard(shard)
+    /// Read access to the streaming engine; a lock poisoned by an earlier
+    /// panic becomes a 500 instead of propagating the panic into this
+    /// request too.
+    fn stream_read(&self) -> Result<RwLockReadGuard<'_, StreamEngine>, ServiceError> {
+        self.live
             .stream
             .read()
             .map_err(|_| ServiceError::internal("streaming state poisoned by an earlier panic"))
     }
 
-    /// Write access to one shard's streaming engine; same poisoning
-    /// contract as [`ServiceState::stream_read`].
-    fn stream_write(
-        &self,
-        shard: usize,
-    ) -> Result<RwLockWriteGuard<'_, StreamEngine>, ServiceError> {
-        self.shard(shard)
+    /// Write access to the streaming engine; same poisoning contract as
+    /// [`ServiceState::stream_read`].
+    fn stream_write(&self) -> Result<RwLockWriteGuard<'_, StreamEngine>, ServiceError> {
+        self.live
             .stream
             .write()
             .map_err(|_| ServiceError::internal("streaming state poisoned by an earlier panic"))
     }
 
-    /// Hit/miss counters of the response cache, summed over shards.
+    /// Hit/miss counters of the response cache.
     pub fn response_cache_counters(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(h, m), s| {
-            let (hits, misses) = s.responses.counters();
-            (h + hits, m + misses)
-        })
+        self.live.responses.counters()
     }
 
     /// The extracted feature data of one reference's source runs, served
-    /// from the shard's cache.
-    fn reference_data(&self, shard: usize, index: usize) -> Arc<Vec<RunFeatureData>> {
+    /// from the cache.
+    fn reference_data(&self, index: usize) -> Arc<Vec<RunFeatureData>> {
         let r = &self.corpus.references[index];
-        self.shard(shard).ref_data.get_or_insert_with(&r.name, || {
+        self.live.ref_data.get_or_insert_with(&r.name, || {
             r.runs_from
                 .iter()
                 .map(|run| extract(run, &self.selected))
@@ -284,17 +223,8 @@ impl ServiceState {
 /// Routes one request to its handler and renders the response.
 ///
 /// Returns `(status, body)`; the body is always a compact JSON document.
-/// Single-shard entry point — the blocking workers backend and in-process
-/// callers route everything through shard 0.
 pub fn handle(state: &ServiceState, req: &Request) -> (u16, String) {
-    handle_on(state, 0, req)
-}
-
-/// [`handle`] pinned to one serving shard: reads come from that shard's
-/// engine replica and caches. Responses are byte-identical across shards
-/// for the same corpus generation.
-pub fn handle_on(state: &ServiceState, shard: usize, req: &Request) -> (u16, String) {
-    let run = || route(state, shard, req);
+    let run = || route(state, req);
     let result = match state.compute_threads {
         Some(n) => wp_runtime::with_thread_count(n, run),
         None => run(),
@@ -305,7 +235,7 @@ pub fn handle_on(state: &ServiceState, shard: usize, req: &Request) -> (u16, Str
     }
 }
 
-fn route(state: &ServiceState, shard: usize, req: &Request) -> Result<String, ServiceError> {
+fn route(state: &ServiceState, req: &Request) -> Result<String, ServiceError> {
     match (req.method.as_str(), req.path.as_str()) {
         // Observability surface: only routed when enabled, so a disabled
         // server's response to `/metrics` is the pre-existing 404.
@@ -319,10 +249,10 @@ fn route(state: &ServiceState, shard: usize, req: &Request) -> Result<String, Se
         ("POST", "/corpus") => validate_corpus(&req.body),
         ("GET", "/stats") => stats_doc(state),
         ("GET", "/drift") => drift_log(state),
-        ("POST", "/fingerprint") => cached(state, shard, req, fingerprint),
-        ("POST", "/similar") => cached(state, shard, req, similar),
-        ("POST", "/predict") => cached(state, shard, req, predict),
-        ("POST", "/recommend") => cached(state, shard, req, recommend),
+        ("POST", "/fingerprint") => cached(state, req, fingerprint),
+        ("POST", "/similar") => cached(state, req, similar),
+        ("POST", "/predict") => cached(state, req, predict),
+        ("POST", "/recommend") => cached(state, req, recommend),
         // Ingest mutates the corpus, so it never goes through the
         // response cache.
         ("POST", "/ingest") => ingest(state, &req.body),
@@ -356,21 +286,20 @@ fn route(state: &ServiceState, shard: usize, req: &Request) -> Result<String, Se
 /// returned.
 fn cached(
     state: &ServiceState,
-    shard: usize,
     req: &Request,
-    f: impl FnOnce(&ServiceState, usize, &str) -> Result<String, ServiceError>,
+    f: impl FnOnce(&ServiceState, &str) -> Result<String, ServiceError>,
 ) -> Result<String, ServiceError> {
     let key = format!(
         "g{}\n{}\n{}",
-        state.stream_read(shard)?.generation(),
+        state.stream_read()?.generation(),
         req.path,
         req.body
     );
-    let responses = &state.shard(shard).responses;
+    let responses = &state.live.responses;
     if let Some(hit) = responses.get(&key) {
         return Ok(hit.as_ref().clone());
     }
-    let body = f(state, shard, &req.body)?;
+    let body = f(state, &req.body)?;
     responses.insert(key, Arc::new(body.clone()));
     Ok(body)
 }
@@ -378,7 +307,7 @@ fn cached(
 /// `GET /stats` — request accounting plus a `"stream"` section with the
 /// live-corpus state and ingest counters.
 fn stats_doc(state: &ServiceState) -> Result<String, ServiceError> {
-    let stream = state.stream_read(0)?.stats_json();
+    let stream = state.stream_read()?.stats_json();
     let mut doc = state.stats.to_json(state.response_cache_counters());
     if let Json::Obj(pairs) = &mut doc {
         pairs.push(("stream".to_string(), stream));
@@ -391,7 +320,7 @@ fn stats_doc(state: &ServiceState) -> Result<String, ServiceError> {
 /// deterministic function of the ingest stream, so two replays of the
 /// same seeded stream must return byte-identical documents.
 fn drift_log(state: &ServiceState) -> Result<String, ServiceError> {
-    Ok(state.stream_read(0)?.events_json().compact())
+    Ok(state.stream_read()?.events_json().compact())
 }
 
 /// `POST /ingest` — one batch of telemetry for one tenant:
@@ -401,35 +330,17 @@ fn drift_log(state: &ServiceState) -> Result<String, ServiceError> {
 /// updates the tenant's sliding window, evolves the corpus index, runs
 /// drift detection, and bumps the corpus generation (invalidating the
 /// response cache).
-/// An accepted batch is applied to shard 0 first (which also records
-/// rejections), then replayed verbatim into every replica under the
-/// ingest-order mutex, so all engines stay byte-identical mirrors.
 fn ingest(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
     let doc = parse_body(body)?;
     let runs = target_runs(&doc)?;
     let tenant = doc
         .get("tenant")
         .and_then(Json::as_str)
-        .ok_or_else(|| ServiceError::bad_request("body needs a 'tenant' string"))?
-        .to_string();
-    let _order = state
-        .ingest_order
-        .lock()
-        .map_err(|_| ServiceError::internal("ingest order poisoned by an earlier panic"))?;
-    let outcome = {
-        let mut engine = state.stream_write(0)?;
-        engine
-            .ingest(&tenant, runs.clone())
-            .map_err(ServiceError::bad_request)?
-    };
-    // The batch was accepted by the source of truth; replicas must agree
-    // (same engine, same input sequence), so a divergence is a bug.
-    for shard in 1..state.shards.len() {
-        let mut engine = state.stream_write(shard)?;
-        engine.ingest(&tenant, runs.clone()).map_err(|e| {
-            ServiceError::internal(format!("shard replica diverged on ingest: {e}"))
-        })?;
-    }
+        .ok_or_else(|| ServiceError::bad_request("body needs a 'tenant' string"))?;
+    let outcome = state
+        .stream_write()?
+        .ingest(tenant, runs)
+        .map_err(ServiceError::bad_request)?;
     Ok(outcome.to_json().compact())
 }
 
@@ -590,7 +501,7 @@ fn joint_fingerprints(
 /// features. Optional body fields: `"representation"` (`"hist"`, the
 /// default, `"mts"`, `"phase"`, or `"embed"`) and `"nbins"` (Hist-FP
 /// only).
-fn fingerprint(state: &ServiceState, _shard: usize, body: &str) -> Result<String, ServiceError> {
+fn fingerprint(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
     let doc = parse_body(body)?;
     let runs = target_runs(&doc)?;
     let repr = match doc.get("representation").and_then(Json::as_str) {
@@ -630,7 +541,6 @@ fn fingerprint(state: &ServiceState, _shard: usize, body: &str) -> Result<String
 /// feature extraction served from the LRU cache.
 fn similar_verdicts(
     state: &ServiceState,
-    shard: usize,
     target_runs: &[ExperimentRun],
 ) -> Result<Vec<SimilarityVerdict>, ServiceError> {
     let mut data: Vec<RunFeatureData> = target_runs
@@ -639,7 +549,7 @@ fn similar_verdicts(
         .collect();
     let mut ref_spans: Vec<Range<usize>> = Vec::with_capacity(state.corpus.references.len());
     for i in 0..state.corpus.references.len() {
-        let cached = state.reference_data(shard, i);
+        let cached = state.reference_data(i);
         let start = data.len();
         data.extend(cached.iter().cloned());
         ref_spans.push(start..data.len());
@@ -715,12 +625,12 @@ fn verdicts_to_json(verdicts: &[SimilarityVerdict]) -> Json {
 ///   `"k"`, and a `"pruning"` object with the cascade's per-stage
 ///   counters (summed over the posted runs), so clients can both tell
 ///   the paths apart and see how much work the lower bounds saved.
-fn similar(state: &ServiceState, shard: usize, body: &str) -> Result<String, ServiceError> {
+fn similar(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
     let doc = parse_body(body)?;
     let runs = target_runs(&doc)?;
     match doc.get("mode").and_then(Json::as_str) {
         None | Some("exact") => {
-            let verdicts = similar_verdicts(state, shard, &runs)?;
+            let verdicts = similar_verdicts(state, &runs)?;
             let best = verdicts
                 .first()
                 .ok_or_else(|| ServiceError::internal("similarity ranking produced no verdicts"))?;
@@ -738,7 +648,7 @@ fn similar(state: &ServiceState, shard: usize, body: &str) -> Result<String, Ser
                     .filter(|&n| n > 0)
                     .ok_or_else(|| ServiceError::bad_request("'k' must be a positive integer"))?,
             };
-            let engine = state.stream_read(shard)?;
+            let engine = state.stream_read()?;
             let (verdicts, stats) = engine
                 .index()
                 .rank_references_with_stats(&runs, k)
@@ -775,7 +685,7 @@ fn similar(state: &ServiceState, shard: usize, body: &str) -> Result<String, Ser
 /// transferred to the posted runs' observed throughput. Optional body
 /// fields `"from_cpus"` / `"to_cpus"` label the SKU pair (defaults 2 and
 /// 8, the default corpus' pair).
-fn predict(state: &ServiceState, shard: usize, body: &str) -> Result<String, ServiceError> {
+fn predict(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
     let doc = parse_body(body)?;
     let runs = target_runs(&doc)?;
     let cpus = |key: &str, default: f64| -> Result<f64, ServiceError> {
@@ -790,7 +700,7 @@ fn predict(state: &ServiceState, shard: usize, body: &str) -> Result<String, Ser
     let from_cpus = cpus("from_cpus", 2.0)?;
     let to_cpus = cpus("to_cpus", 8.0)?;
 
-    let verdicts = similar_verdicts(state, shard, &runs)?;
+    let verdicts = similar_verdicts(state, &runs)?;
     let best = verdicts
         .first()
         .ok_or_else(|| ServiceError::internal("similarity ranking produced no verdicts"))?;
@@ -911,7 +821,7 @@ fn cv_residuals(
 /// width being the context's cross-validated relative residual on the
 /// reference. The recommendation is the cheapest (fewest-CPU) SKU whose
 /// predicted throughput meets the SLO, or `null` when none does.
-fn recommend(state: &ServiceState, shard: usize, body: &str) -> Result<String, ServiceError> {
+fn recommend(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
     let _span = OBS_RECOMMEND_SPAN.start();
     let doc = parse_body(body)?;
     let slo = doc
@@ -945,7 +855,7 @@ fn recommend(state: &ServiceState, shard: usize, body: &str) -> Result<String, S
                 .as_str()
                 .ok_or_else(|| ServiceError::bad_request("'tenant' must be a string"))?;
             let window = {
-                let engine = state.stream_read(shard)?;
+                let engine = state.stream_read()?;
                 engine.tenant_runs(name).map(<[ExperimentRun]>::to_vec)
             };
             let runs = window
@@ -965,7 +875,7 @@ fn recommend(state: &ServiceState, shard: usize, body: &str) -> Result<String, S
         ));
     }
 
-    let verdicts = similar_verdicts(state, shard, &runs)?;
+    let verdicts = similar_verdicts(state, &runs)?;
     let best = verdicts
         .first()
         .ok_or_else(|| ServiceError::internal("similarity ranking produced no verdicts"))?;
@@ -1144,7 +1054,7 @@ mod tests {
         let target: Vec<ExperimentRun> = (0..2)
             .map(|r| sim.simulate(&benchmarks::ycsb(), &Sku::new("cpu2", 2, 64.0), 8, r, r % 3))
             .collect();
-        let via_service = similar_verdicts(&state, 0, &target).unwrap();
+        let via_service = similar_verdicts(&state, &target).unwrap();
 
         let reference_runs: Vec<(String, Vec<ExperimentRun>)> = state
             .corpus
@@ -1258,7 +1168,7 @@ mod tests {
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
 
-            let via_trait = similar_verdicts(&state, 0, &target).unwrap();
+            let via_trait = similar_verdicts(&state, &target).unwrap();
             assert_eq!(via_trait.len(), expected.len(), "{repr:?}");
             for (a, b) in via_trait.iter().zip(&expected) {
                 assert_eq!(a.workload, b.workload, "{repr:?}");
@@ -1455,55 +1365,6 @@ mod tests {
             Some(1),
             "{resp}"
         );
-    }
-
-    /// Tentpole invariant: engine replicas evolve in lockstep, so every
-    /// shard answers every endpoint byte-identically after ingests.
-    #[test]
-    fn sharded_replicas_stay_byte_identical_across_ingest() {
-        let corpus = simulated_corpus(0xEDB7_2025, 40);
-        let config = PipelineConfig {
-            selection: Strategy::FAnova,
-            ..PipelineConfig::default()
-        };
-        let state =
-            ServiceState::sharded(corpus, config, Some(1), 16, StreamConfig::default(), 3).unwrap();
-        assert_eq!(state.shards.len(), 3);
-
-        for batch in 0..2 {
-            let (s, resp) = handle_on(
-                &state,
-                batch % 3,
-                &request(
-                    "POST",
-                    "/ingest",
-                    &ingest_body("ycsb-live", "YCSB", 10 + batch * 2, 2),
-                ),
-            );
-            assert_eq!(s, 200, "{resp}");
-        }
-        for shard in 0..3 {
-            assert_eq!(state.generation_on(shard), 2, "shard {shard} generation");
-        }
-
-        let indexed_body = target_body(3).replacen('{', "{\"mode\":\"indexed\",\"k\":3,", 1);
-        let mut answers = Vec::new();
-        for shard in 0..3 {
-            // Twice per shard: the second answer exercises its cache.
-            for _ in 0..2 {
-                let (s, resp) =
-                    handle_on(&state, shard, &request("POST", "/similar", &indexed_body));
-                assert_eq!(s, 200, "{resp}");
-                answers.push(resp);
-            }
-        }
-        assert!(
-            answers.windows(2).all(|w| w[0] == w[1]),
-            "shards disagreed on an indexed /similar answer"
-        );
-        // Each shard missed once then hit once.
-        let (hits, misses) = state.response_cache_counters();
-        assert_eq!((hits, misses), (3, 3));
     }
 
     #[test]

@@ -201,6 +201,68 @@ fn every_endpoint_is_byte_identical_across_backends() {
     reactor.shutdown();
 }
 
+/// Every serving thread reads one live state. On each backend, eight
+/// keep-alive connections post the same `/similar` body in turn: the
+/// answers are byte-identical and the response cache records exactly
+/// one miss. After one `/ingest` on the first connection, every
+/// connection reads the same `/drift` document at generation 1.
+///
+/// The reactor runs its 4 event loops under the 8 connections. A pool
+/// thread serves one keep-alive connection until it closes, so the
+/// workers leg runs 8 threads to keep all 8 connections served.
+#[test]
+fn all_connections_share_one_cache_and_one_engine() {
+    const CONNS: usize = 8;
+    let body = wp_loadgen::validated_mix(SEED, 60)
+        .into_iter()
+        .find(|e| e.path == "/similar")
+        .expect("the mix posts /similar")
+        .body;
+    for (backend, workers) in [(Backend::Workers, CONNS), (Backend::Reactor, 4)] {
+        let server = start(backend, workers, Duration::from_secs(30));
+        let mut conns: Vec<Conn> = (0..CONNS).map(|_| Conn::open(server.addr())).collect();
+
+        let answers: Vec<Vec<u8>> = conns
+            .iter_mut()
+            .map(|c| c.roundtrip("POST", "/similar", &body, true))
+            .collect();
+        assert_eq!(status_of(&answers[0]), 200, "{backend:?}");
+        for (i, answer) in answers.iter().enumerate() {
+            assert_eq!(answer, &answers[0], "{backend:?}: connection {i} diverged");
+        }
+        let stats = Json::parse(&body_of(&conns[0].roundtrip("GET", "/stats", "", true)))
+            .expect("/stats parses");
+        let cache = stats.get("cache").expect("/stats has a cache section");
+        assert_eq!(
+            (
+                cache.get("hits").and_then(Json::as_f64),
+                cache.get("misses").and_then(Json::as_f64)
+            ),
+            (Some(7.0), Some(1.0)),
+            "{backend:?}: one miss, then hits on every connection"
+        );
+
+        let ingested = conns[0].roundtrip("POST", "/ingest", &ingest_body(), true);
+        assert_eq!(status_of(&ingested), 200, "{backend:?}");
+        let drifts: Vec<Vec<u8>> = conns
+            .iter_mut()
+            .map(|c| c.roundtrip("GET", "/drift", "", true))
+            .collect();
+        for (i, drift) in drifts.iter().enumerate() {
+            assert_eq!(drift, &drifts[0], "{backend:?}: /drift on connection {i}");
+        }
+        let drift = Json::parse(&body_of(&drifts[0])).expect("/drift parses");
+        assert_eq!(
+            drift.get("generation").and_then(Json::as_f64),
+            Some(1.0),
+            "{backend:?}"
+        );
+
+        drop(conns);
+        server.shutdown();
+    }
+}
+
 /// A body that arrives over many reads is framed exactly as if it
 /// arrived in one. On each backend, one `/similar` request is sent in
 /// 1 KiB writes a few milliseconds apart, with a pipelined
