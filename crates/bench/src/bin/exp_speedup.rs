@@ -9,7 +9,8 @@
 //!    pre-optimization implementation, kept as the reference oracle);
 //! 2. **optimized sequential** — the production anti-diagonal wavefront
 //!    kernels with `WP_THREADS=1`, isolating the kernel speedup;
-//! 3. **optimized parallel** — the production path on the full pool,
+//! 3. **optimized parallel** — the production path on the full pool
+//!    (the calling thread plus the persistent `wp-runtime` helpers),
 //!    what the pipeline actually runs.
 //!
 //! All three matrices must be bit-identical. The headline `speedup` is

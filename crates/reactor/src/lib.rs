@@ -25,6 +25,7 @@
 //! The crate is Unix-only at runtime (epoll or poll); on other targets
 //! it still compiles and [`Reactor::start`] reports an unsupported-
 //! platform error so callers can fall back to a blocking backend.
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 use std::sync::Arc;
 use std::time::Duration;

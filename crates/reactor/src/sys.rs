@@ -60,6 +60,8 @@ pub(crate) mod epoll {
     }
 
     pub(crate) fn create() -> io::Result<c_int> {
+        // SAFETY: `epoll_create1` takes a flags integer and touches no
+        // caller memory; a negative return is handled below.
         let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
@@ -74,6 +76,9 @@ pub(crate) mod epoll {
         } else {
             &mut event as *mut EpollEvent
         };
+        // SAFETY: `event_ptr` is null only for `EPOLL_CTL_DEL`, which
+        // ignores it; otherwise it points at `event`, a live, properly
+        // laid out `epoll_event` the kernel only reads during the call.
         if unsafe { epoll_ctl(epfd, op, fd, event_ptr) } < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -86,6 +91,9 @@ pub(crate) mod epoll {
         timeout_ms: c_int,
     ) -> io::Result<usize> {
         loop {
+            // SAFETY: the kernel writes at most `maxevents` entries into
+            // `buf`, and `maxevents` is `buf.len()`, so every write stays
+            // inside the exclusively borrowed slice.
             let n = unsafe { epoll_wait(epfd, buf.as_mut_ptr(), buf.len() as c_int, timeout_ms) };
             if n >= 0 {
                 return Ok(n as usize);
@@ -98,6 +106,8 @@ pub(crate) mod epoll {
     }
 
     pub(crate) fn close_fd(fd: c_int) {
+        // SAFETY: `close` touches no caller memory. Callers pass a
+        // descriptor they own and never use it afterwards.
         unsafe {
             close(fd);
         }
@@ -133,6 +143,9 @@ pub(crate) mod pollsys {
 
     pub(crate) fn poll_fds(fds: &mut [PollFd], timeout_ms: c_int) -> io::Result<usize> {
         loop {
+            // SAFETY: `fds` is an exclusively borrowed slice of
+            // `#[repr(C)]` pollfd records and `nfds` is its length, so the
+            // kernel reads and writes only inside it.
             let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
             if n >= 0 {
                 return Ok(n as usize);
@@ -177,6 +190,8 @@ pub fn raise_nofile_limit(target: u64) -> u64 {
         rlim_cur: 0,
         rlim_max: 0,
     };
+    // SAFETY: `lim` is a live `#[repr(C)]` rlimit record that the call
+    // only writes during its execution.
     if unsafe { rlimit::getrlimit(rlimit::RLIMIT_NOFILE, &mut lim) } != 0 {
         return target;
     }
@@ -188,6 +203,8 @@ pub fn raise_nofile_limit(target: u64) -> u64 {
         rlim_cur: wanted,
         rlim_max: lim.rlim_max,
     };
+    // SAFETY: `new` is a live `#[repr(C)]` rlimit record that the call
+    // only reads during its execution.
     if unsafe { rlimit::setrlimit(rlimit::RLIMIT_NOFILE, &new) } == 0 {
         wanted
     } else {

@@ -1,15 +1,40 @@
 //! Deterministic data-parallel runtime for the workload-prediction suite.
 //!
-//! A std-only scoped thread pool (no external dependencies: just
-//! [`std::thread::scope`] plus atomics) exposing two primitives used by
-//! every hot path in the workspace:
+//! A std-only persistent thread pool (no external dependencies: parked
+//! helper threads, one `Mutex` with two `Condvar`s and an atomic work
+//! counter per batch) exposing two primitives used by every hot path in the
+//! workspace:
 //!
-//! * [`par_map_indexed`] — evaluate `f(0..n)` across worker threads and
+//! * [`par_map_indexed`] — evaluate `f(0..n)` across the pool and
 //!   return the results **in index order**, bit-identical to the
 //!   sequential `(0..n).map(f).collect()`.
 //! * [`par_pairs`] — schedule the upper triangle `{(i, j) : i < j < n}`
-//!   across workers and return `(i, j, value)` triples in row-major
+//!   across the pool and return `(i, j, value)` triples in row-major
 //!   order, the same order a nested `for i { for j }` loop visits them.
+//!
+//! # The pool
+//!
+//! Helper threads are spawned lazily, the first time a batch asks for
+//! more of them than exist, and then live for the rest of the process,
+//! parked on a condition variable between batches. The pool grows to
+//! the widest batch ever requested and never beyond it; several
+//! threads submitting batches at once (the server's request workers)
+//! share the same helpers.
+//!
+//! A batch of width `w` publishes `w − 1` seats and wakes that many
+//! parked helpers, then **the calling thread claims work itself** from
+//! the same atomic counter. The caller therefore never waits for a
+//! wake-up to make progress: if every helper is busy or slow to wake,
+//! the caller simply runs the whole batch. When its own share is done
+//! the caller withdraws the seats nobody took and blocks until every
+//! helper that did join has finished with the batch.
+//!
+//! That last wait is what makes the pool sound. Helpers run a closure
+//! that borrows the caller's stack (the task function, the work
+//! counter, the result shards), so the caller must outlive every
+//! helper's use of the batch. The borrow's lifetime is erased in one
+//! place, documented at its `unsafe` block, and a drop guard performs
+//! the wait even when the caller's own share panics.
 //!
 //! # Determinism
 //!
@@ -29,21 +54,27 @@
 //!    (used by in-process determinism tests and benchmarks),
 //! 2. the `WP_THREADS` environment variable (`WP_THREADS=1` forces the
 //!    sequential fallback: no threads are spawned at all),
-//! 3. [`std::thread::available_parallelism`].
+//! 3. [`std::thread::available_parallelism`], looked up once per
+//!    process (it reads cgroup files, tens of microseconds per call).
 //!
-//! Nested parallelism is suppressed: a task already running on a pool
-//! worker executes nested `par_*` calls sequentially, so e.g. the
-//! per-channel parallelism inside `dtw_independent` does not
-//! oversubscribe the machine when invoked from an already-parallel
-//! `try_distance_matrix`.
+//! Nested parallelism is suppressed: a task running on a pool helper,
+//! or on a caller while it works through its own batch, executes
+//! nested `par_*` calls sequentially, so e.g. the per-channel
+//! parallelism inside `dtw_independent` does not oversubscribe the
+//! machine when invoked from an already-parallel `try_distance_matrix`.
 //!
 //! # Panics
 //!
-//! A panic inside a worker task is propagated to the caller with its
-//! original payload once all workers have drained.
+//! A panic inside a task is caught on the thread that ran it and
+//! propagated to the caller with its original payload once every
+//! participant has left the batch. Helper threads survive task panics.
+#![warn(clippy::undocumented_unsafe_blocks)]
 
+use std::any::Any;
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use wp_obs::{LazyCounter, LazyGauge, LazySpan};
 
@@ -55,6 +86,8 @@ static OBS_TASKS: LazyCounter = LazyCounter::new("wp_runtime_tasks_total");
 static OBS_BATCHES: LazyCounter = LazyCounter::new("wp_runtime_batches_total");
 /// Thread count resolved by the most recent batch.
 static OBS_THREADS: LazyGauge = LazyGauge::new("wp_runtime_threads");
+/// Helper threads alive in the pool; set whenever the pool grows.
+static OBS_HELPERS: LazyGauge = LazyGauge::new("wp_runtime_helpers");
 /// Wall time of each batch, scheduling included.
 static OBS_BATCH_SPAN: LazySpan = LazySpan::new("wp_runtime_batch");
 
@@ -67,9 +100,11 @@ thread_local! {
 ///
 /// Resolution order: [`with_thread_count`] override, then the
 /// `WP_THREADS` environment variable, then the machine's available
-/// parallelism. Inside a pool worker this always returns 1 (nested
-/// parallelism runs sequentially). Never returns 0.
+/// parallelism (resolved once per process). Inside a pool task this
+/// always returns 1 (nested parallelism runs sequentially). Never
+/// returns 0.
 pub fn thread_count() -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     if IN_WORKER.with(Cell::get) {
         return 1;
     }
@@ -81,9 +116,11 @@ pub fn thread_count() -> usize {
             return n.max(1);
         }
     }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Runs `f` with the thread count pinned to `n` (clamped to ≥ 1) on the
@@ -106,20 +143,24 @@ pub fn with_thread_count<R>(n: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// Batches smaller than this run sequentially even when threads are
-/// available: spawning scoped workers costs tens of microseconds, which
-/// swamps the win on tiny batches and used to drag the measured parallel
-/// factor below 1.0 at small input sizes (see `exp_speedup`). The
-/// fallback is the exact sequential loop, so bit-identity is untouched.
+/// available. A parallel batch still pays to wake parked helpers (a
+/// condition-variable signal and a context switch per helper, several
+/// microseconds on a loaded host) and to merge their result shards;
+/// on tiny batches that overhead swamps the win, and it used to drag
+/// the measured parallel factor below 1.0 at small input sizes (see
+/// `exp_speedup`). The fallback is the exact sequential loop, so
+/// bit-identity is untouched.
 pub const SEQUENTIAL_FALLBACK_TASKS: usize = 32;
 
 /// Evaluates `f(i)` for every `i in 0..n` across the pool and returns
 /// the results in index order.
 ///
 /// Equivalent to `(0..n).map(f).collect()` — including bit-identical
-/// floating-point results — but spread over [`thread_count`] workers.
-/// Falls back to the plain sequential loop when the effective thread
-/// count is 1 or `n` is below [`SEQUENTIAL_FALLBACK_TASKS`] (per-task
-/// work on batches that small undercuts thread-spawn overhead).
+/// floating-point results — but spread over [`thread_count`] threads:
+/// the caller plus up to `thread_count() − 1` pool helpers. Falls back
+/// to the plain sequential loop when the effective thread count is 1
+/// or `n` is below [`SEQUENTIAL_FALLBACK_TASKS`] (per-task work on
+/// batches that small undercuts the cost of waking helpers).
 pub fn par_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -135,45 +176,40 @@ where
         return (0..n).map(f).collect();
     }
 
-    // Workers claim *chunks* of contiguous indices rather than single
-    // tasks: one atomic RMW per chunk instead of per task keeps the
-    // claim counter off the critical path for fine-grained workloads
-    // (distance-matrix cells take microseconds each), and contiguous
-    // ranges preserve the cache locality a sequential scan would have.
-    // 8 chunks per worker still load-balances uneven task costs.
+    // Participants claim *chunks* of contiguous indices rather than
+    // single tasks: one atomic RMW per chunk instead of per task keeps
+    // the claim counter off the critical path for fine-grained
+    // workloads (distance-matrix cells take microseconds each), and
+    // contiguous ranges preserve the cache locality a sequential scan
+    // would have. 8 chunks per thread still load-balances uneven task
+    // costs.
     let chunk = (n / (threads * 8)).max(1);
     let next = AtomicUsize::new(0);
-    let mut shards: Vec<Vec<(usize, T)>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    IN_WORKER.with(|w| w.set(true));
-                    let mut local = Vec::with_capacity(n / threads + 1);
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        for i in start..(start + chunk).min(n) {
-                            local.push((i, f(i)));
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(shard) => shards.push(shard),
-                Err(payload) => std::panic::resume_unwind(payload),
+    let shards: Mutex<Vec<Vec<(usize, T)>>> = Mutex::new(Vec::with_capacity(threads));
+    let work = || {
+        let mut local = Vec::with_capacity(n / threads + 1);
+        loop {
+            let start = next.fetch_add(chunk, Ordering::Relaxed);
+            if start >= n {
+                break;
+            }
+            for i in start..(start + chunk).min(n) {
+                local.push((i, f(i)));
             }
         }
-    });
+        if !local.is_empty() {
+            shards
+                .lock()
+                .expect("no participant panics while holding the shard lock")
+                .push(local);
+        }
+    };
+    POOL.run(&work, threads - 1);
 
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let shards = shards
+        .into_inner()
+        .expect("no participant panics while holding the shard lock");
     for shard in shards {
         for (i, value) in shard {
             slots[i] = Some(value);
@@ -181,8 +217,208 @@ where
     }
     slots
         .into_iter()
-        .map(|v| v.expect("par_map_indexed: worker skipped an index"))
+        .map(|v| v.expect("par_map_indexed: a participant skipped an index"))
         .collect()
+}
+
+/// A batch's work loop as helpers see it: the caller's closure with its
+/// borrow lifetime erased (see [`Pool::run`]).
+type Job = &'static (dyn Fn() + Sync);
+
+/// A panic payload caught on a helper, carried back to the caller.
+type Payload = Box<dyn Any + Send>;
+
+/// The process-wide pool shared by every submitting thread.
+static POOL: Pool = Pool {
+    state: Mutex::new(PoolState {
+        helpers: 0,
+        next_id: 0,
+        open: Vec::new(),
+    }),
+    work: Condvar::new(),
+    done: Condvar::new(),
+};
+
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Parked helpers wait here for a batch with a free seat.
+    work: Condvar,
+    /// Callers wait here for the helpers inside their batch to leave.
+    done: Condvar,
+}
+
+struct PoolState {
+    /// Helper threads spawned so far; only ever grows.
+    helpers: usize,
+    /// Identifies the next published batch.
+    next_id: u64,
+    /// Batches whose caller has not yet returned.
+    open: Vec<OpenBatch>,
+}
+
+struct OpenBatch {
+    id: u64,
+    job: Job,
+    /// Helpers that may still join.
+    seats: usize,
+    /// Helpers currently inside `job`.
+    running: usize,
+    /// The first panic a helper caught while running `job`.
+    panic: Option<Payload>,
+}
+
+impl Pool {
+    /// Locks the pool state. No code panics while holding this lock and
+    /// every update leaves the state consistent, so a poisoned lock is
+    /// recovered rather than propagated; that also keeps the drop guard
+    /// in [`Pool::run`] free of panics.
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `job` on the calling thread and on up to `helpers` pool
+    /// helpers, returning only once every helper that joined has left
+    /// it. A panic in the caller's share propagates after that wait; a
+    /// helper's panic is re-raised afterwards with its original payload.
+    fn run(&'static self, job: &(dyn Fn() + Sync), helpers: usize) {
+        /// Marks the caller as a pool participant while it runs its
+        /// share, so nested `par_*` calls inside its tasks stay
+        /// sequential.
+        struct Participate(bool);
+        impl Drop for Participate {
+            fn drop(&mut self) {
+                IN_WORKER.with(|w| w.set(self.0));
+            }
+        }
+
+        // SAFETY: helpers reach `erased` only through the `OpenBatch`
+        // published below, and `retire` is a local that is never moved
+        // or forgotten. Whether this frame returns or unwinds, the
+        // retire call or its drop closes the batch's seats, blocks until
+        // no helper is inside the job and only then removes the batch.
+        // So no helper calls the job after this frame ends, and every
+        // borrow the job holds outlives every call made through it.
+        let erased: Job = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Job>(job) };
+        let mut retire = Retire {
+            pool: self,
+            id: Some(self.publish(erased, helpers)),
+        };
+        for _ in 0..helpers {
+            self.work.notify_one();
+        }
+        {
+            let _participate = Participate(IN_WORKER.with(|w| w.replace(true)));
+            job();
+        }
+        if let Some(payload) = retire.retire() {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Opens a batch with `seats` free seats for helpers, growing the
+    /// pool to at least `seats` helpers first, and returns its id.
+    fn publish(&'static self, job: Job, seats: usize) -> u64 {
+        let mut state = self.lock();
+        let before = state.helpers;
+        while state.helpers < seats {
+            // Helpers live for the rest of the process and catch every
+            // task panic, so there is nothing to join: the handle is
+            // dropped. If the OS refuses a thread the batch runs with
+            // fewer helpers; the caller covers the rest of the work.
+            let spawned = std::thread::Builder::new()
+                .name(format!("wp-runtime-{}", state.helpers))
+                .spawn(move || self.serve());
+            if spawned.is_err() {
+                break;
+            }
+            state.helpers += 1;
+        }
+        if state.helpers != before {
+            OBS_HELPERS.set(state.helpers as u64);
+        }
+        let id = state.next_id;
+        state.next_id += 1;
+        state.open.push(OpenBatch {
+            id,
+            job,
+            seats,
+            running: 0,
+            panic: None,
+        });
+        id
+    }
+
+    /// A helper thread's life: park until an open batch has a free seat,
+    /// run its job, report back, repeat.
+    fn serve(&self) {
+        IN_WORKER.with(|w| w.set(true));
+        let mut state = self.lock();
+        loop {
+            let Some(batch) = state.open.iter_mut().find(|b| b.seats > 0) else {
+                state = self
+                    .work
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            batch.seats -= 1;
+            batch.running += 1;
+            let (id, job) = (batch.id, batch.job);
+            drop(state);
+            let outcome = catch_unwind(AssertUnwindSafe(job));
+            state = self.lock();
+            let batch = state
+                .open
+                .iter_mut()
+                .find(|b| b.id == id)
+                .expect("a batch stays open while a helper runs it");
+            batch.running -= 1;
+            if let Err(payload) = outcome {
+                batch.panic.get_or_insert(payload);
+            }
+            if batch.running == 0 {
+                self.done.notify_all();
+            }
+        }
+    }
+}
+
+/// Closes a published batch: on [`Retire::retire`], or on drop while the
+/// caller's own share unwinds.
+struct Retire {
+    pool: &'static Pool,
+    /// `None` once retired.
+    id: Option<u64>,
+}
+
+impl Retire {
+    /// Withdraws the batch's free seats, blocks until no helper is
+    /// inside it, removes it and returns the first panic a helper
+    /// caught. Does nothing after the first call.
+    fn retire(&mut self) -> Option<Payload> {
+        let id = self.id.take()?;
+        let mut state = self.pool.lock();
+        loop {
+            // Only this guard removes the batch, so it is still open.
+            let at = state.open.iter().position(|b| b.id == id)?;
+            let batch = &mut state.open[at];
+            batch.seats = 0;
+            if batch.running == 0 {
+                return state.open.remove(at).panic;
+            }
+            state = self
+                .pool
+                .done
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+impl Drop for Retire {
+    fn drop(&mut self) {
+        self.retire();
+    }
 }
 
 /// Maps a flat upper-triangle index `k in 0..n*(n-1)/2` back to its
@@ -228,6 +464,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn pair_unranking_round_trips() {
@@ -291,13 +528,38 @@ mod tests {
         assert!(THREAD_OVERRIDE.with(Cell::get).is_none());
     }
 
+    /// Spins until `flag` is set, giving up after a generous deadline so
+    /// a broken pool fails the test instead of hanging it.
+    fn wait_for(flag: &AtomicBool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !flag.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn nested_calls_run_sequentially_in_workers() {
         // batch large enough to dodge the small-input fallback, so the
-        // closure really runs on pool workers
+        // closure really runs on pool helpers; helper tasks hold until
+        // the caller has run one, so the caller's share is covered too
         let n = SEQUENTIAL_FALLBACK_TASKS * 2;
-        let nested_counts = with_thread_count(4, || par_map_indexed(n, |_| thread_count()));
-        assert_eq!(nested_counts, vec![1; n]);
+        let caller = std::thread::current().id();
+        let caller_ran = AtomicBool::new(false);
+        let seen = with_thread_count(4, || {
+            par_map_indexed(n, |_| {
+                let on_caller = std::thread::current().id() == caller;
+                if on_caller {
+                    caller_ran.store(true, Ordering::SeqCst);
+                } else {
+                    wait_for(&caller_ran);
+                }
+                (on_caller, thread_count())
+            })
+        });
+        assert!(seen.iter().any(|&(on_caller, _)| on_caller));
+        assert_eq!(seen.iter().map(|&(_, t)| t).collect::<Vec<_>>(), vec![1; n]);
+        // the caller's own setting is back once the batch returns
+        assert_eq!(with_thread_count(4, thread_count), 4);
     }
 
     #[test]
@@ -314,6 +576,15 @@ mod tests {
         assert_eq!(par, seq);
     }
 
+    fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .map(String::from)
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
     #[test]
     fn worker_panics_propagate_with_payload() {
         let result = std::panic::catch_unwind(|| {
@@ -327,12 +598,77 @@ mod tests {
             })
         });
         let payload = result.expect_err("panic should propagate");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
+        let msg = payload_text(payload.as_ref());
         assert!(msg.contains("task 33 exploded"), "payload was: {msg:?}");
+    }
+
+    #[test]
+    fn helpers_survive_a_task_panic() {
+        let n = SEQUENTIAL_FALLBACK_TASKS * 2;
+        let caller = std::thread::current().id();
+        // The caller's tasks hold until a helper has run (and panicked
+        // in) a task, so the panic is forced onto a helper thread.
+        let helper_ran = AtomicBool::new(false);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            with_thread_count(2, || {
+                par_map_indexed(n, |i| {
+                    if std::thread::current().id() == caller {
+                        wait_for(&helper_ran);
+                        return i;
+                    }
+                    helper_ran.store(true, Ordering::SeqCst);
+                    panic!("helper task exploded");
+                })
+            })
+        }));
+        let payload = result.expect_err("a helper panic should reach the caller");
+        assert_eq!(payload_text(payload.as_ref()), "helper task exploded");
+        assert!(
+            helper_ran.load(Ordering::SeqCst),
+            "no helper joined the batch"
+        );
+
+        // A later batch on the same pool still gets a helper and a
+        // complete, ordered result.
+        let helper_ran = AtomicBool::new(false);
+        let after = with_thread_count(2, || {
+            par_map_indexed(n, |i| {
+                if std::thread::current().id() == caller {
+                    wait_for(&helper_ran);
+                } else {
+                    helper_ran.store(true, Ordering::SeqCst);
+                }
+                i * 3
+            })
+        });
+        assert!(
+            helper_ran.load(Ordering::SeqCst),
+            "the helper did not survive"
+        );
+        assert_eq!(after, (0..n).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_submitters_share_the_pool() {
+        // The server's shape: several request threads submitting
+        // batches to one pool at the same time.
+        let f = |i: usize| ((i as f64) * 0.37).sin().to_bits() ^ i as u64;
+        let start = std::sync::Arc::new(std::sync::Barrier::new(4));
+        let submitters: Vec<_> = (0..4)
+            .map(|s| {
+                let start = std::sync::Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for b in 0..25 {
+                        let n = SEQUENTIAL_FALLBACK_TASKS + 7 * b + s;
+                        let got = with_thread_count(3, || par_map_indexed(n, f));
+                        assert_eq!(got, (0..n).map(f).collect::<Vec<_>>(), "n={n}");
+                    }
+                })
+            })
+            .collect();
+        for submitter in submitters {
+            submitter.join().expect("submitter thread panicked");
+        }
     }
 }
