@@ -2,7 +2,8 @@
 //!
 //! The workspace exchanges telemetry through a small, fixed JSON schema
 //! (see `wp_telemetry::io`); this crate supplies just enough JSON — a
-//! value type, a recursive-descent parser with positional errors, and
+//! value type, a pull tokenizer with positional errors ([`Tokenizer`],
+//! the one lexer; [`Json::parse`] builds trees over it), and
 //! compact/pretty writers — to serve that schema offline, with no
 //! registry crates.
 //!
@@ -12,6 +13,10 @@
 //! the common interchange convention.
 
 use std::fmt;
+
+mod events;
+
+pub use events::{build_value, skip_value, Event, EventSource, JsonEvents, Tokenizer, MAX_DEPTH};
 
 /// A JSON value. Object members keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,18 +37,12 @@ pub enum Json {
 
 impl Json {
     /// Parses a JSON document, requiring it to span the whole input.
+    /// Nesting deeper than [`MAX_DEPTH`] is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing characters at byte {}", p.pos));
-        }
+        let mut tokens = Tokenizer::new(text);
+        let first = tokens.next_in_value()?;
+        let value = build_value(&mut tokens, first)?;
+        tokens.finish()?;
         Ok(value)
     }
 
@@ -263,238 +262,6 @@ fn write_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
-}
-
-/// Recursive-descent parser over validated UTF-8. Token scans walk
-/// `bytes`; every token ends on an ASCII byte, so its text is sliced
-/// from `text` without re-validating it.
-struct Parser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            None => Err("unexpected end of input".to_string()),
-            Some(b'n') if self.eat_literal("null") => Ok(Json::Null),
-            Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b) => Err(format!(
-                "unexpected character '{}' at byte {}",
-                b as char, self.pos
-            )),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: copy a run of plain bytes at once.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                s.push_str(
-                    self.text
-                        .get(start..self.pos)
-                        .ok_or_else(|| format!("invalid UTF-8 in string at byte {start}"))?,
-                );
-            }
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'b') => s.push('\u{0008}'),
-                        Some(b'f') => s.push('\u{000C}'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.hex4()?;
-                            let ch = if (0xD800..0xDC00).contains(&code) {
-                                // Surrogate pair: require the low half.
-                                if !self.eat_literal("\\u") {
-                                    return Err(format!("unpaired surrogate at byte {}", self.pos));
-                                }
-                                let low = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(format!(
-                                        "invalid low surrogate at byte {}",
-                                        self.pos
-                                    ));
-                                }
-                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(combined)
-                            } else {
-                                char::from_u32(code)
-                            };
-                            s.push(ch.ok_or_else(|| {
-                                format!("invalid \\u escape at byte {}", self.pos)
-                            })?);
-                            continue; // hex4 already advanced pos
-                        }
-                        _ => {
-                            return Err(format!("invalid escape at byte {}", self.pos));
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => {
-                    return Err(format!("unescaped control byte at {}", self.pos));
-                }
-                _ => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err("truncated \\u escape".to_string());
-        }
-        let hex = self
-            .text
-            .get(self.pos..end)
-            .ok_or_else(|| format!("invalid \\u escape at byte {}", self.pos))?;
-        let code = u32::from_str_radix(hex, 16)
-            .map_err(|_| format!("invalid \\u escape at byte {}", self.pos))?;
-        self.pos = end;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = self
-            .text
-            .get(start..self.pos)
-            .ok_or_else(|| format!("invalid number at byte {start}"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number '{text}' at byte {start}"))
-    }
 }
 
 #[cfg(test)]

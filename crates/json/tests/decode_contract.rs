@@ -71,6 +71,27 @@ fn malformed_documents_fail_with_exact_errors() {
     }
 }
 
+/// Nesting is bounded at 128 levels (serde_json's default), so no body
+/// can overflow a serving thread's stack. The rows are built at run time
+/// because the documents are long.
+#[test]
+fn nesting_past_the_depth_limit_fails_with_exact_error() {
+    let rows = [
+        ("[".repeat(129), "nesting deeper than 128 at byte 128"),
+        ("[".repeat(100_000), "nesting deeper than 128 at byte 128"),
+        (
+            format!("{{\"runs\":{}", "[".repeat(128)),
+            "nesting deeper than 128 at byte 135",
+        ),
+        ("{\"a\":".repeat(129), "nesting deeper than 128 at byte 640"),
+    ];
+    for (doc, want) in &rows {
+        assert_eq!(&Json::parse(doc).unwrap_err(), want, "{}", &doc[..20]);
+    }
+    let deepest = format!("{}{}", "[".repeat(128), "]".repeat(128));
+    assert!(Json::parse(&deepest).is_ok(), "128 levels must parse");
+}
+
 #[test]
 fn lenient_numbers_keep_parsing() {
     for (doc, want) in [

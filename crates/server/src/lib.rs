@@ -40,6 +40,7 @@
 
 #![warn(missing_docs)]
 
+mod body;
 pub mod cache;
 pub mod corpus;
 pub mod http;

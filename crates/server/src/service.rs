@@ -27,10 +27,10 @@ use wp_similarity::fingerprinter::fingerprinter;
 use wp_similarity::measure::{normalize_distances, try_distance_matrix, Measure};
 use wp_similarity::repr::{extract, Representation, RunFeatureData};
 use wp_stream::{StreamConfig, StreamEngine};
-use wp_telemetry::io::run_from_json;
 use wp_telemetry::{ExperimentRun, FeatureId};
 use wp_workloads::Sku;
 
+use crate::body::PostBody;
 use crate::cache::{CacheObs, LruCache};
 use crate::http::Request;
 use crate::stats::ServerStats;
@@ -69,7 +69,7 @@ pub struct ServiceError {
 }
 
 impl ServiceError {
-    fn bad_request(message: impl Into<String>) -> Self {
+    pub(crate) fn bad_request(message: impl Into<String>) -> Self {
         Self {
             status: 400,
             message: message.into(),
@@ -331,8 +331,8 @@ fn drift_log(state: &ServiceState) -> Result<String, ServiceError> {
 /// drift detection, and bumps the corpus generation (invalidating the
 /// response cache).
 fn ingest(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
-    let doc = parse_body(body)?;
-    let runs = target_runs(&doc)?;
+    let PostBody { doc, runs } = PostBody::parse(body)?;
+    let runs = runs.decoded()?;
     let tenant = doc
         .get("tenant")
         .and_then(Json::as_str)
@@ -399,28 +399,6 @@ fn validate_corpus(body: &str) -> Result<String, ServiceError> {
         "runs" => runs,
     }
     .compact())
-}
-
-/// Parses a `POST` body as JSON; each handler parses its body once.
-fn parse_body(body: &str) -> Result<Json, ServiceError> {
-    Json::parse(body).map_err(|e| ServiceError::bad_request(format!("invalid JSON body: {e}")))
-}
-
-/// Decodes the `"runs"` array shared by every `POST` body.
-fn target_runs(doc: &Json) -> Result<Vec<ExperimentRun>, ServiceError> {
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ServiceError::bad_request("body needs a 'runs' array"))?;
-    if runs.is_empty() {
-        return Err(ServiceError::bad_request("'runs' must not be empty"));
-    }
-    runs.iter()
-        .enumerate()
-        .map(|(i, r)| {
-            run_from_json(r).map_err(|e| ServiceError::bad_request(format!("runs[{i}]: {e}")))
-        })
-        .collect()
 }
 
 fn matrix_to_json(m: &Matrix) -> Json {
@@ -502,8 +480,8 @@ fn joint_fingerprints(
 /// default, `"mts"`, `"phase"`, or `"embed"`) and `"nbins"` (Hist-FP
 /// only).
 fn fingerprint(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
-    let doc = parse_body(body)?;
-    let runs = target_runs(&doc)?;
+    let PostBody { doc, runs } = PostBody::parse(body)?;
+    let runs = runs.validated()?;
     let repr = match doc.get("representation").and_then(Json::as_str) {
         None => Representation::HistFp,
         Some(s) => Representation::parse(s).ok_or_else(|| {
@@ -626,8 +604,8 @@ fn verdicts_to_json(verdicts: &[SimilarityVerdict]) -> Json {
 ///   counters (summed over the posted runs), so clients can both tell
 ///   the paths apart and see how much work the lower bounds saved.
 fn similar(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
-    let doc = parse_body(body)?;
-    let runs = target_runs(&doc)?;
+    let PostBody { doc, runs } = PostBody::parse(body)?;
+    let runs = runs.validated()?;
     match doc.get("mode").and_then(Json::as_str) {
         None | Some("exact") => {
             let verdicts = similar_verdicts(state, &runs)?;
@@ -686,8 +664,8 @@ fn similar(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
 /// fields `"from_cpus"` / `"to_cpus"` label the SKU pair (defaults 2 and
 /// 8, the default corpus' pair).
 fn predict(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
-    let doc = parse_body(body)?;
-    let runs = target_runs(&doc)?;
+    let PostBody { doc, runs } = PostBody::parse(body)?;
+    let runs = runs.validated()?;
     let cpus = |key: &str, default: f64| -> Result<f64, ServiceError> {
         match doc.get(key) {
             None => Ok(default),
@@ -823,7 +801,7 @@ fn cv_residuals(
 /// predicted throughput meets the SLO, or `null` when none does.
 fn recommend(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
     let _span = OBS_RECOMMEND_SPAN.start();
-    let doc = parse_body(body)?;
+    let PostBody { doc, runs } = PostBody::parse(body)?;
     let slo = doc
         .get("slo")
         .ok_or_else(|| ServiceError::bad_request("body needs a 'slo' throughput target"))?
@@ -839,18 +817,18 @@ fn recommend(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
             .filter(|x| x.is_finite() && *x > 0.0)
             .ok_or_else(|| ServiceError::bad_request("'observed_cpus' must be positive"))?,
     };
-    let (runs, source) = match (doc.get("tenant"), doc.get("runs")) {
-        (Some(_), Some(_)) => {
+    let (runs, source) = match (doc.get("tenant"), runs.is_present()) {
+        (Some(_), true) => {
             return Err(ServiceError::bad_request(
                 "give 'runs' or 'tenant', not both",
             ))
         }
-        (None, None) => {
+        (None, false) => {
             return Err(ServiceError::bad_request(
                 "body needs a 'runs' array or a 'tenant' name",
             ))
         }
-        (Some(t), None) => {
+        (Some(t), false) => {
             let name = t
                 .as_str()
                 .ok_or_else(|| ServiceError::bad_request("'tenant' must be a string"))?;
@@ -863,7 +841,7 @@ fn recommend(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
                 .ok_or_else(|| ServiceError::bad_request(format!("unknown tenant '{name}'")))?;
             (runs, format!("tenant:{name}"))
         }
-        (None, Some(_)) => (target_runs(&doc)?, "inline".to_string()),
+        (None, true) => (runs.validated()?, "inline".to_string()),
     };
 
     let observed = wp_linalg::stats::mean(&runs.iter().map(|r| r.throughput).collect::<Vec<_>>());

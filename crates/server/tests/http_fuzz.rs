@@ -20,7 +20,7 @@ use std::panic::AssertUnwindSafe;
 use std::time::Duration;
 
 use wp_json::Json;
-use wp_linalg::Rng64;
+use wp_linalg::{Matrix, Rng64};
 use wp_server::corpus::simulated_corpus;
 use wp_server::http::{parse_request, read_request, Parsed};
 use wp_server::{Backend, Server, ServerConfig, ServerHandle};
@@ -407,6 +407,33 @@ fn recommend_template() -> String {
     )
 }
 
+/// Posted runs whose shapes lie about the catalog, in `{"runs":[...]}`
+/// bodies: 8 resource columns, 5 plan columns, and a `1e999` resource
+/// sample. Each is valid JSON and a well-formed matrix, so only run
+/// validation stands between it and a `Matrix::col` panic.
+fn shape_lie_bodies() -> Vec<String> {
+    let mut sim = Simulator::new(0xEDB7_2025);
+    sim.config.samples = 30;
+    let run = || sim.simulate(&benchmarks::ycsb(), &Sku::new("cpu2", 2, 64.0), 8, 0, 0);
+    let body = |run: wp_telemetry::ExperimentRun| {
+        format!(
+            "{{\"runs\":{}}}",
+            wp_telemetry::io::runs_to_json(std::slice::from_ref(&run))
+        )
+    };
+    let mut wide = run();
+    wide.resources.data = Matrix::filled(wide.resources.data.rows(), 8, 0.5);
+    let mut narrow_plans = run();
+    narrow_plans.plans.data = Matrix::filled(narrow_plans.plans.data.rows(), 5, 1.0);
+    let mut overflow = run();
+    overflow.resources.data[(0, 0)] = 4242.125;
+    vec![
+        body(wide),
+        body(narrow_plans),
+        body(overflow).replacen("4242.125", "1e999", 1),
+    ]
+}
+
 /// Satellite invariant for `POST /recommend`: hostile bodies — malformed
 /// JSON, non-finite/negative/absent SLOs, unknown or ill-typed tenant
 /// names, truncated payloads — are clean 400s on *both* backends, never
@@ -444,8 +471,14 @@ fn recommend_mutants_never_yield_garbage_recommendations() {
             "{\"slo\":5,\"tenant\":7}".to_string(),
             "{\"slo\":5,\"tenant\":\"bad name!\"}".to_string(),
             "{\"slo\":5,\"runs\":[]}".to_string(),
-        ];
-        for (i, body) in poisons.iter().enumerate() {
+        ]
+        .into_iter()
+        .chain(
+            shape_lie_bodies()
+                .into_iter()
+                .map(|b| b.replacen('{', "{\"slo\":50.0,", 1)),
+        );
+        for (i, body) in poisons.enumerate() {
             assert_ne!(body.as_str(), template, "poison {i} failed to splice");
             let status = post_json(addr, "/recommend", body.as_bytes());
             assert_eq!(status, Some(400), "{backend:?}: poison {i}: {status:?}");
@@ -483,6 +516,39 @@ fn recommend_mutants_never_yield_garbage_recommendations() {
         assert!(
             String::from_utf8_lossy(&health).starts_with("HTTP/1.1 200"),
             "{backend:?}: server unhealthy after the recommend barrage"
+        );
+        server.shutdown();
+    }
+}
+
+/// A body nested past the JSON depth limit is a 400 with the pinned
+/// error, on both backends, and the serving thread survives it. Before
+/// the limit, 100 KB of `[` overflowed the stack of the thread parsing
+/// it and aborted the whole server.
+#[test]
+fn deeply_nested_body_is_a_400_and_the_server_lives() {
+    let deep = "[".repeat(100_000);
+    let want = "{\"error\":\"invalid JSON body: nesting deeper than 128 at byte 128\"}";
+    for backend in [Backend::Workers, Backend::Reactor] {
+        let server = start_backend(backend);
+        let addr = server.addr();
+        let mut request = format!(
+            "POST /similar HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
+            deep.len()
+        )
+        .into_bytes();
+        request.extend_from_slice(deep.as_bytes());
+        let response = String::from_utf8_lossy(&fire(addr, &request)).into_owned();
+        assert!(
+            response.starts_with("HTTP/1.1 400"),
+            "{backend:?}: {}",
+            response.chars().take(120).collect::<String>()
+        );
+        assert!(response.ends_with(want), "{backend:?}: {response}");
+        let health = fire(addr, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert!(
+            String::from_utf8_lossy(&health).starts_with("HTTP/1.1 200"),
+            "{backend:?}: server unhealthy after the deep body"
         );
         server.shutdown();
     }
@@ -626,6 +692,15 @@ fn fingerprint_poisons_die_in_validation() {
     for body in ["{\"runs\":[]}", "{not json"] {
         let status = post_json(addr, "/similar", body.as_bytes());
         assert_eq!(status, Some(400), "similar poison {body:?}: {status:?}");
+    }
+    // Shapes that lie about the catalog die in run validation on every
+    // compute endpoint, with a response: a closed connection here is
+    // the panic this guards against.
+    for (i, body) in shape_lie_bodies().iter().enumerate() {
+        for path in ["/similar", "/predict", "/fingerprint"] {
+            let status = post_json(addr, path, body.as_bytes());
+            assert_eq!(status, Some(400), "{path} shape lie {i}: {status:?}");
+        }
     }
     assert_eq!(post_json(addr, "/similar", template.as_bytes()), Some(200));
 

@@ -167,6 +167,54 @@ pub struct ExperimentRun {
 }
 
 impl ExperimentRun {
+    /// Checks what the decoder cannot: every run read from outside the
+    /// program (the interchange schema checks shape, not content) must
+    /// pass this before it reaches a feature extractor or an index.
+    /// Errors name the first defect found.
+    pub fn validate(&self) -> Result<(), String> {
+        let r = &self.resources;
+        if r.data.rows() == 0 {
+            return Err("empty resource series".to_string());
+        }
+        if r.data.cols() != ResourceFeature::ALL.len() {
+            return Err(format!(
+                "resource series must have {} columns, got {}",
+                ResourceFeature::ALL.len(),
+                r.data.cols()
+            ));
+        }
+        if !r.data.as_slice().iter().all(|x| x.is_finite()) {
+            return Err("non-finite resource sample".to_string());
+        }
+        if !r.sample_interval_secs.is_finite() || r.sample_interval_secs <= 0.0 {
+            return Err("sample interval must be finite and positive".to_string());
+        }
+        let p = &self.plans;
+        if p.data.rows() == 0 {
+            return Err("empty plan statistics".to_string());
+        }
+        if p.data.cols() != PlanFeature::ALL.len() {
+            return Err(format!(
+                "plan statistics must have {} columns, got {}",
+                PlanFeature::ALL.len(),
+                p.data.cols()
+            ));
+        }
+        if !p.data.as_slice().iter().all(|x| x.is_finite()) {
+            return Err("non-finite plan statistic".to_string());
+        }
+        if p.query_names.len() != p.data.rows() {
+            return Err("one query name per plan row required".to_string());
+        }
+        if !self.throughput.is_finite() || !self.latency_ms.is_finite() {
+            return Err("non-finite throughput or latency".to_string());
+        }
+        if !self.per_query_latency_ms.iter().all(|x| x.is_finite()) {
+            return Err("non-finite per-query latency".to_string());
+        }
+        Ok(())
+    }
+
     /// Mean value of every resource feature over the whole run, in catalog
     /// order — a cheap summary used by a few diagnostics.
     pub fn resource_means(&self) -> Vec<f64> {
@@ -241,9 +289,8 @@ mod tests {
         assert_eq!(k.to_string(), "TPC-C@cpu8x4 run1 grp2");
     }
 
-    #[test]
-    fn resource_means_summary() {
-        let run = ExperimentRun {
+    fn sample_run() -> ExperimentRun {
+        ExperimentRun {
             key: RunKey {
                 workload: "w".into(),
                 sku: "s".into(),
@@ -256,9 +303,50 @@ mod tests {
             throughput: 100.0,
             latency_ms: 5.0,
             per_query_latency_ms: vec![5.0],
-        };
-        let means = run.resource_means();
+        }
+    }
+
+    #[test]
+    fn resource_means_summary() {
+        let means = sample_run().resource_means();
         assert_eq!(means.len(), 7);
         assert_eq!(means[0], 7.0); // mean of 0, 7, 14
+    }
+
+    #[test]
+    fn validate_names_the_first_defect() {
+        assert_eq!(sample_run().validate(), Ok(()));
+        type Poison = fn(&mut ExperimentRun);
+        let cases: [(Poison, &str); 6] = [
+            (
+                |r| r.resources.data = Matrix::zeros(0, 7),
+                "empty resource series",
+            ),
+            (
+                |r| r.resources.data = Matrix::zeros(3, 8),
+                "resource series must have 7 columns, got 8",
+            ),
+            (
+                |r| r.resources.data[(1, 2)] = f64::INFINITY,
+                "non-finite resource sample",
+            ),
+            (
+                |r| r.plans.data = Matrix::zeros(1, 5),
+                "plan statistics must have 22 columns, got 5",
+            ),
+            (
+                |r| r.plans.query_names.clear(),
+                "one query name per plan row required",
+            ),
+            (
+                |r| r.per_query_latency_ms[0] = f64::NAN,
+                "non-finite per-query latency",
+            ),
+        ];
+        for (poison, want) in cases {
+            let mut run = sample_run();
+            poison(&mut run);
+            assert_eq!(run.validate().unwrap_err(), want);
+        }
     }
 }
